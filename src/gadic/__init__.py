@@ -4,7 +4,7 @@ and certificate-emitting verification."""
 from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
 from .partition import (HypothesisViolatedError, IntervalFamilies,
                         PartitionSpec, detect_interval_families, min_t)
-from .basis import BasisSpec, MemberWindow, WindowTooLargeError, members_bruteforce
+from .basis import BasisSpec, MemberWindow, WindowTooLargeError
 from .repcount import (RepCountResult, check_prefix_inequality,
                        count_reps_bruteforce, count_reps_digitdp,
                        hfold_sumset_window, mask_to_set)
@@ -25,7 +25,7 @@ __all__ = [
     "WitnessCertificate", "check_lemma1", "check_lemma2",
     "check_prefix_inequality", "construct_witness", "count_reps_bruteforce",
     "count_reps_digitdp", "cross_check_witness", "detect_interval_families",
-    "hfold_sumset_window", "load_preset", "mask_to_set", "members_bruteforce",
-    "min_t", "removability_scan", "verify_minimality", "verify_theorem1",
+    "hfold_sumset_window", "load_preset", "mask_to_set", "min_t",
+    "removability_scan", "verify_minimality", "verify_theorem1",
     "verify_theorem2", "verify_witness",
 ]

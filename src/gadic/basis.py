@@ -1,11 +1,13 @@
 """Membership and window enumeration for monochromatic-support sets.
 
 A positive integer belongs to the constructed set exactly when the support
-of its canonical digit expansion is nonempty and single-colored; membership
-is decided from the canonical representation, never by enumerating subsets.
+of its canonical digit expansion is nonempty and single-colored.  A single
+membership query reads the canonical representation; a window is generated
+from the single-colored digit supports directly.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .core import DigitRep, DomainError, GadicSequence
@@ -64,19 +66,40 @@ class BasisSpec:
         return colors.pop() if len(colors) == 1 else None
 
     def enumerate(self, N: int, limit: int = DEFAULT_WINDOW_LIMIT) -> "MemberWindow":
-        """All members in [1, N], as a sorted list plus a bit array."""
+        """All members in [1, N], as a sorted list plus a bit array.
+
+        Members are generated from their digit supports rather than found by
+        classifying every n: per class, the values built from the indices of
+        that color are extended one index at a time with digits in [1, d-1]
+        while they stay <= N.  The cost is proportional to the number of
+        members.
+        """
         if N < 1:
             raise DomainError(f"window bound must be >= 1, got {N}")
         if N > limit:
             raise WindowTooLargeError(f"window bound {N} exceeds limit {limit}")
-        members = []
-        mask = 0
-        classify = self.classify
-        for n in range(1, N + 1):
-            if classify(n) is not None:
-                members.append(n)
-                mask |= 1 << n
-        return MemberWindow(N=N, members=members, mask=mask)
+        seq, color = self.seq, self.partition.color
+        # supports[i]: the values <= N (0 included) whose digits sit on class-i
+        # indices below j.  All are < g_j, so the blocks x*g_j + v appended
+        # for x = 1, 2, ... (v from the list as it was before index j) keep
+        # the list sorted and produce each value once.
+        supports: list[list[int]] = [[0] for _ in range(self.h)]
+        for j in range(seq.leading_index(N) + 1):
+            vals = supports[color(j)]
+            old = len(vals)
+            g = seq.value(j)
+            for x in range(1, seq.quotient(j + 1)):
+                base = x * g
+                if base > N:
+                    break
+                vals += [base + v
+                         for v in vals[:bisect_right(vals, N - base, 0, old)]]
+        members = sorted(v for vals in supports for v in vals[1:])
+        bits = bytearray((N + 8) // 8)
+        for m in members:
+            bits[m >> 3] |= 1 << (m & 7)
+        return MemberWindow(N=N, members=members,
+                            mask=int.from_bytes(bits, "little"))
 
     def serialize(self) -> str:
         return f"{self.seq.serialize()}|{self.partition.serialize()}"
@@ -104,33 +127,3 @@ class MemberWindow:
         """Raw little-endian bit dump, N+1 bits (bit n = byte n//8, bit n%8)."""
         return self.mask.to_bytes((self.N + 8) // 8, "little")
 
-
-def members_bruteforce(spec: BasisSpec, N: int) -> list[int]:
-    """Independent membership oracle: enumerate every nonempty monochromatic
-    support with every in-range digit choice, keeping values <= N.
-
-    Exponential in the index bound; for testing only.
-    """
-    seq, part = spec.seq, spec.partition
-    # indices whose scale value can still contribute
-    J = 0
-    while seq.value(J + 1) <= N:
-        J += 1
-    out: set[int] = set()
-
-    def extend(i: int, j: int, acc: int):
-        # acc uses only indices < j, all colored i
-        for jj in range(j, J + 1):
-            if part.color(jj) != i:
-                continue
-            g = seq.value(jj)
-            for x in range(1, seq.quotient(jj + 1)):
-                v = acc + x * g
-                if v > N:
-                    break
-                out.add(v)
-                extend(i, jj + 1, v)
-
-    for i in range(part.h):
-        extend(i, 0, 0)
-    return sorted(out)

@@ -14,7 +14,7 @@ from .core import DomainError
 from .basis import WindowTooLargeError
 from .partition import HypothesisViolatedError, detect_interval_families, min_t
 from .config import ConfigError, PRESETS, RunConfig, load_preset
-from .repcount import count_reps_digitdp, hfold_sumset_window
+from .repcount import count_reps_digitdp, hfold_sumset_window, sumset_gaps
 from .verifier import (check_lemma1, check_lemma2, removability_scan,
                        verify_minimality, verify_theorem1, verify_theorem2)
 
@@ -136,7 +136,7 @@ def cmd_minimality(cfg: RunConfig, args) -> int:
 def cmd_explore(cfg: RunConfig, args) -> int:
     N = args.window or cfg.window
     if args.sweep_t:
-        fams_ok = []
+        code = EXIT_OK
         for t in (int(x) for x in args.sweep_t.split(",")):
             fams = detect_interval_families(cfg.partition, t)
             empties = [i for i in range(cfg.partition.h) if not fams.is_infinite(i)]
@@ -148,11 +148,13 @@ def cmd_explore(cfg: RunConfig, args) -> int:
             else:
                 batch = verify_minimality(cfg.basis, t=t, K=min(cfg.budget, 5),
                                           W=1, override=True)
-                status = ("all certified" if batch.passed
-                          else "certification failed")
+                if batch.passed:
+                    status = "all certified"
+                else:
+                    status = "certification failed"
+                    code = EXIT_FAIL
             print(f"t={t}: {status}")
-            fams_ok.append(not empties)
-        return EXIT_OK
+        return code
     rows = removability_scan(cfg.basis, N, elem_bound=args.elem_bound)
     print(f"removability scan, 0-adjoined set, window [0,{N}] "
           "(evidence only, not proof):")
@@ -167,14 +169,17 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     window = spec.enumerate(N)
     t1 = time.perf_counter()
-    hfold_sumset_window(window.mask, N, spec.h)
+    s = hfold_sumset_window(window.mask, N, spec.h)
     t2 = time.perf_counter()
+    gaps = sumset_gaps(s, N)
+    t3 = time.perf_counter()
     rep = cfg.seq.represent((1 << 256) + 12345)
     count_reps_digitdp(spec, rep, spec.h)
-    t3 = time.perf_counter()
+    t4 = time.perf_counter()
     print(f"enumerate [1,{N}]: {len(window.members)} members, {t1 - t0:.3f}s")
     print(f"{spec.h}-fold sumset over [0,{N}]: {t2 - t1:.3f}s")
-    print(f"digit DP on a 256-bit integer: {t3 - t2:.3f}s")
+    print(f"gap extraction over [0,{N}]: {len(gaps)} gaps, {t3 - t2:.3f}s")
+    print(f"digit DP on a 256-bit integer: {t4 - t3:.3f}s")
     return EXIT_OK
 
 
@@ -200,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     except (WindowTooLargeError, MemoryError) as exc:
         print(f"window infeasible: {exc}", file=sys.stderr)
         return EXIT_WINDOW
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -75,12 +75,7 @@ def hfold_sumset_window(mask: int, N: int, h: int) -> int:
         raise DomainError(f"need h >= 1, got {h}")
     clip = (1 << (N + 1)) - 1
     mask &= clip
-    shifts = []
-    m = mask
-    while m:
-        low = m & -m
-        shifts.append(low.bit_length() - 1)
-        m ^= low
+    shifts = _low_bits(mask)
     acc = mask
     for _ in range(h - 1):
         nxt = 0
@@ -90,11 +85,25 @@ def hfold_sumset_window(mask: int, N: int, h: int) -> int:
     return acc
 
 
+def sumset_gaps(sumset: int, N: int) -> list[int]:
+    """The n in [0, N] missing from a window sumset bit array, ascending.
+
+    Reads them off the complement, so the cost follows the number and size
+    of the gaps instead of N.
+    """
+    return _low_bits(~sumset & ((1 << (N + 1)) - 1))
+
+
 def mask_to_set(mask: int) -> set[int]:
-    out = set()
+    return set(_low_bits(mask))
+
+
+def _low_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask >= 0, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        out.add(low.bit_length() - 1)
+        out.append(low.bit_length() - 1)
         mask ^= low
     return out
 
@@ -152,7 +161,9 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
                     if total % d != r:
                         continue
                     carry_out = total // d
-                    assert carry_out <= h, "carry bound exceeded"
+                    if carry_out > h:
+                        raise RuntimeError("counting engine bug: carry "
+                                           f"{carry_out} exceeds h={h}")
                     key = (carry_out, sts)
                     new_states[key] = new_states.get(key, 0) + ways * mult
             states = new_states

@@ -17,7 +17,7 @@ from .basis import BasisSpec, MemberWindow
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
 from .repcount import count_reps_bruteforce, count_reps_digitdp, \
-    hfold_sumset_window
+    hfold_sumset_window, sumset_gaps
 
 ENGINE_VERSION = "gadic 0.1.0"
 
@@ -98,7 +98,7 @@ def verify_theorem1(spec: BasisSpec, N: int,
     if window is None:
         window = spec.enumerate(N)
     s = hfold_sumset_window(window.mask, N, spec.h)
-    gaps = [n for n in range(N + 1) if not (s >> n) & 1]
+    gaps = sumset_gaps(s, N)
     return BasisReport(spec_text=spec.serialize(), N=N, h=spec.h, gaps=gaps,
                        passed=(gaps == list(range(spec.h))),
                        elapsed=time.perf_counter() - t0,
@@ -116,7 +116,7 @@ def verify_theorem2(spec: BasisSpec, N: int,
     if window is None:
         window = spec.enumerate(N)
     s = hfold_sumset_window(window.mask | 1, N, spec.h)
-    gaps = [n for n in range(N + 1) if not (s >> n) & 1]
+    gaps = sumset_gaps(s, N)
     with_zero = BasisReport(spec_text=spec.serialize(), N=N, h=spec.h,
                             gaps=gaps, passed=(gaps == []),
                             elapsed=time.perf_counter() - t0,
@@ -170,11 +170,15 @@ def construct_witness(spec: BasisSpec, t: int, a: int,
     merged: dict[int, int] = {}
     for rep in summands.values():
         for j, x in rep.digits.items():
-            assert j not in merged, "summand supports must be pairwise disjoint"
+            if j in merged:
+                raise RuntimeError("witness construction bug: summand "
+                                   f"supports overlap at index {j}")
             merged[j] = x
     n_rep = DigitRep(merged)
     n_value = seq.evaluate(n_rep)
-    assert n_value == sum(seq.evaluate(rep) for rep in summands.values())
+    if n_value != sum(seq.evaluate(rep) for rep in summands.values()):
+        raise RuntimeError(f"witness construction bug: digits of n={n_value} "
+                           "do not sum the summands")
 
     return WitnessCertificate(spec_hash=spec_hash(spec, t), t=t, removed=a,
                               removed_rep=rep_a, removed_class=i0, M0=M0,
@@ -386,7 +390,7 @@ def removability_scan(spec: BasisSpec, N: int,
     rows = []
     for a in elements:
         s = hfold_sumset_window(mask0 & ~(1 << a), N, spec.h)
-        misses = [n for n in range(N + 1) if not (s >> n) & 1]
+        misses = sumset_gaps(s, N)
         if misses:
             covered_from = misses[-1] + 1 if misses[-1] < N else None
         else:

@@ -1,7 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gadic import (BasisSpec, DomainError, GadicSequence, PartitionSpec,
-                   WindowTooLargeError, members_bruteforce)
+from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
+                   PartitionSpec, WindowTooLargeError, load_preset)
+
+
+def members_by_classify(spec: BasisSpec, N: int) -> list[int]:
+    """Independent oracle: classify every n in [1, N] from its canonical
+    expansion.  Linear in N; for testing only."""
+    return [n for n in range(1, N + 1) if spec.classify(n) is not None]
+
+
+def assert_matches_oracle(spec: BasisSpec, N: int):
+    w = spec.enumerate(N)
+    oracle = members_by_classify(spec, N)
+    assert w.members == oracle
+    assert w.mask == sum(1 << n for n in oracle)
 
 
 class TestClassify:
@@ -72,7 +86,40 @@ class TestBruteForceOracle:
     def test_classify_matches_subset_enumeration(self, period, colors, h):
         spec = BasisSpec(seq=GadicSequence(period=period),
                          partition=PartitionSpec(h=h, period_colors=colors))
-        assert spec.enumerate(10_000).members == members_bruteforce(spec, 10_000)
+        assert spec.enumerate(10_000).members == members_by_classify(spec, 10_000)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("N", [1, 2, 1000, 10_000])
+    def test_presets_match_oracle(self, name, N):
+        assert_matches_oracle(load_preset(name).basis, N)
+
+    def test_quotient_and_color_prefix_match_oracle(self):
+        spec = BasisSpec(seq=GadicSequence(prefix=[5, 2, 3], period=[3, 2]),
+                         partition=PartitionSpec(h=3, prefix_colors=[2, 2],
+                                                 period_colors=[0, 1, 1, 2]))
+        assert_matches_oracle(spec, 5000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_configurations_match_oracle(self, data):
+        h = data.draw(st.integers(2, 4), label="h")
+        quotients = st.integers(2, 5)
+        seq = GadicSequence(
+            prefix=data.draw(st.lists(quotients, max_size=3), label="prefix"),
+            period=data.draw(st.lists(quotients, min_size=1, max_size=4),
+                             label="period"))
+        colors = st.integers(0, h - 1)
+        # every class must occur in the period
+        period_colors = data.draw(
+            st.lists(colors, max_size=4).flatmap(
+                lambda extra: st.permutations(list(range(h)) + extra)),
+            label="period_colors")
+        part = PartitionSpec(
+            h=h, prefix_colors=data.draw(st.lists(colors, max_size=4),
+                                         label="prefix_colors"),
+            period_colors=period_colors)
+        N = data.draw(st.integers(1, 3000), label="N")
+        assert_matches_oracle(BasisSpec(seq=seq, partition=part), N)
 
 
 def test_single_class_window_counting_identity(binary):

@@ -1,7 +1,22 @@
 import pytest
 
-from gadic import ConfigError, PRESETS, RunConfig, load_preset
+import gadic.verifier
+from gadic import ConfigError, PRESETS, RepCountResult, RunConfig, load_preset
 from gadic.cli import main
+
+
+@pytest.fixture
+def skew_dp_count(monkeypatch):
+    """Make the verifier's digit-DP count off by `delta` from the truth."""
+    real = gadic.verifier.count_reps_digitdp
+
+    def install(delta: int):
+        def skewed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return RepCountResult(ordered_count=res.ordered_count + delta,
+                                  zero_allowed=res.zero_allowed)
+        monkeypatch.setattr(gadic.verifier, "count_reps_digitdp", skewed)
+    return install
 
 
 class TestRunConfig:
@@ -80,6 +95,13 @@ class TestMinimalityCommand:
         assert main(["minimality", "--preset", "mixed23-h2",
                      "--budget", "3", "--witnesses", "1"]) == 0
 
+    def test_counting_engine_bug_exits_1(self, skew_dp_count, capsys):
+        skew_dp_count(-1)
+        assert main(["minimality", "--budget", "1", "--witnesses", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: counting engine bug")
+        assert "Traceback" not in err
+
 
 class TestExploreCommand:
     def test_removability(self, capsys):
@@ -92,10 +114,19 @@ class TestExploreCommand:
         out = capsys.readouterr().out
         assert "t=3: hypothesis violated" in out
 
+    def test_sweep_t_certification_failure_exits_1(self, skew_dp_count, capsys):
+        skew_dp_count(+1)
+        assert main(["explore", "--sweep-t", "1,2"]) == 1
+        out = capsys.readouterr().out
+        assert "t=1: below threshold" in out
+        assert "t=2: certification failed" in out
+
 
 def test_bench_runs(capsys):
     assert main(["bench", "--window", "500"]) == 0
-    assert "sumset" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sumset" in out
+    assert "gap extraction over [0,500]: 2 gaps" in out
 
 
 def test_determinism(capsys):

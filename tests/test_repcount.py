@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gadic import (BasisSpec, DigitRangeError, DomainError, GadicSequence,
                    PartitionSpec, check_prefix_inequality,
                    count_reps_bruteforce, count_reps_digitdp,
                    hfold_sumset_window, mask_to_set)
+from gadic.repcount import sumset_gaps
 from gadic.verifier import random_alternate_decomposition
+
+
+def naive_gaps(mask: int, N: int) -> list[int]:
+    return [n for n in range(N + 1) if not (mask >> n) & 1]
 
 
 class TestBruteForce:
@@ -133,3 +139,30 @@ class TestPrefixInequality:
             alt = random_alternate_decomposition(mixed23, n, rng)
             assert check_prefix_inequality(mixed23, mixed23.represent(n),
                                            alt).all_hold
+
+
+class TestSumsetGaps:
+    @settings(max_examples=200, deadline=None)
+    @given(N=st.integers(0, 300), data=st.data())
+    def test_matches_per_n_scan(self, N, data):
+        # bits above N must be ignored
+        mask = data.draw(st.integers(0, (1 << (N + 40)) - 1), label="mask")
+        assert sumset_gaps(mask, N) == naive_gaps(mask, N)
+
+    def test_window_of_zero(self):
+        assert sumset_gaps(0, 0) == [0]
+        assert sumset_gaps(1, 0) == []
+        assert sumset_gaps(0b110, 0) == [0]
+
+    def test_full_and_empty_masks(self):
+        N = 1000
+        assert sumset_gaps((1 << (N + 1)) - 1, N) == []
+        assert sumset_gaps(0, N) == list(range(N + 1))
+
+    def test_sparse_gaps_in_a_large_window(self):
+        N = 1 << 20
+        gaps = [0, 1, 77, N - 1, N]
+        mask = (1 << (N + 1)) - 1
+        for g in gaps:
+            mask &= ~(1 << g)
+        assert sumset_gaps(mask, N) == gaps

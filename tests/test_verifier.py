@@ -1,10 +1,25 @@
 import pytest
 
-from gadic import (BasisSpec, DomainError, GadicSequence,
+from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    HypothesisViolatedError, PartitionSpec, construct_witness,
                    count_reps_bruteforce, cross_check_witness,
-                   removability_scan, verify_minimality, verify_theorem1,
-                   verify_theorem2, verify_witness)
+                   hfold_sumset_window, load_preset, removability_scan,
+                   verify_minimality, verify_theorem1, verify_theorem2,
+                   verify_witness)
+
+
+def naive_window_gaps(spec: BasisSpec, N: int, adjoin_zero: bool = False,
+                      removed: int | None = None) -> list[int]:
+    """Gaps of the h-fold window sumset, with members found by classifying
+    every n and gaps by testing every bit: independent of enumerate() and
+    of the complement-based gap reader."""
+    mask = sum(1 << n for n in range(1, N + 1) if spec.classify(n) is not None)
+    if adjoin_zero:
+        mask |= 1
+    if removed is not None:
+        mask &= ~(1 << removed)
+    s = hfold_sumset_window(mask, N, spec.h)
+    return [n for n in range(N + 1) if not (s >> n) & 1]
 
 
 class TestTheorem1:
@@ -21,6 +36,15 @@ class TestTheorem1:
     def test_degenerate_window(self, binary_pairs):
         report = verify_theorem1(binary_pairs, 2)
         assert report.gaps == [0, 1] and report.passed
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_window_gaps_match_naive_scan(name):
+    spec, N = load_preset(name).basis, 4096
+    assert verify_theorem1(spec, N).gaps == naive_window_gaps(spec, N)
+    with_zero, without = verify_theorem2(spec, N)
+    assert with_zero.gaps == naive_window_gaps(spec, N, adjoin_zero=True)
+    assert without.gaps == naive_window_gaps(spec, N)
 
 
 class TestTheorem2:
@@ -144,3 +168,20 @@ class TestRemovabilityScan:
         rows = removability_scan(binary_pairs, 500, elem_bound=1)
         row = {r.removed: r for r in rows}[1]
         assert row.miss_count > 2  # constructed witnesses (9, 13, ...) go missing
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_rows_match_naive_gap_extraction(self, name):
+        spec, N = load_preset(name).basis, 1024
+        rows = removability_scan(spec, N)
+        members = [n for n in range(1, 65) if spec.classify(n) is not None]
+        assert [r.removed for r in rows] == [0] + members
+        for row in rows:
+            misses = naive_window_gaps(spec, N, adjoin_zero=True,
+                                       removed=row.removed)
+            assert row.miss_count == len(misses)
+            if not misses:
+                assert row.covered_from == 0
+            elif misses[-1] < N:
+                assert row.covered_from == misses[-1] + 1
+            else:
+                assert row.covered_from is None
