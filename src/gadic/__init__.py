@@ -1,6 +1,9 @@
 """Mixed-radix asymptotic bases: exact arithmetic, representation counting,
 and certificate-emitting verification."""
 
+# Set before the submodule imports: verifier stamps it into certificates.
+__version__ = "0.1.0"
+
 from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
 from .partition import (HypothesisViolatedError, IntervalFamilies,
                         PartitionSpec, detect_interval_families, min_t)
@@ -14,8 +17,6 @@ from .verifier import (BasisReport, MinimalityBatch, WitnessCertificate,
                        verify_minimality, verify_theorem1, verify_theorem2,
                        verify_witness)
 from .config import PRESETS, ConfigError, RunConfig, load_preset
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BasisReport", "BasisSpec", "ConfigError", "DigitRangeError", "DigitRep",

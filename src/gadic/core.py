@@ -7,7 +7,6 @@ with digits x_j in [0, d_{j+1} - 1]; we store only the nonzero digits.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -21,12 +20,7 @@ class DigitRangeError(ValueError):
 
 
 class GadicSequence:
-    """The quotient stream (d_i) and lazily cached scale values g_i.
-
-    The cache is grow-only: values are computed before being appended, so
-    concurrent readers always see a consistent prefix; extension itself is
-    serialized by a lock.
-    """
+    """The quotient stream (d_i) and lazily cached scale values g_i."""
 
     def __init__(self, period: list[int], prefix: list[int] | None = None):
         prefix = list(prefix) if prefix else []
@@ -39,7 +33,6 @@ class GadicSequence:
         self.prefix = prefix
         self.period = period
         self._cache = [1]  # g_0
-        self._lock = threading.Lock()
 
     def quotient(self, i: int) -> int:
         """d_i for i >= 1 (prefix lookup, then periodic)."""
@@ -53,11 +46,9 @@ class GadicSequence:
         """g_i = d_1 * d_2 * ... * d_i, exact; g_0 = 1."""
         if i < 0:
             raise DomainError(f"scale index must be >= 0, got {i}")
-        if i >= len(self._cache):
-            with self._lock:
-                while i >= len(self._cache):
-                    k = len(self._cache)
-                    self._cache.append(self._cache[k - 1] * self.quotient(k))
+        while i >= len(self._cache):
+            k = len(self._cache)
+            self._cache.append(self._cache[k - 1] * self.quotient(k))
         return self._cache[i]
 
     def ratio(self, i: int, j: int) -> int:

@@ -2,10 +2,12 @@
 
 Two independent routes: an exhaustive window brute force (the oracle, for
 small n) and a digit-level dynamic program whose state is the additive
-carry plus a per-summand class commitment (scales to arbitrarily large n).
+carry plus the multiset of summand class commitments (scales to
+arbitrarily large n).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,6 +22,7 @@ class RepCountResult:
     ordered_count: int
     zero_allowed: bool
     enumeration: list[tuple[int, ...]] | None = None  # None when over cap
+    peak_states: int | None = None  # digit DP: most live states at a position
 
 
 def count_reps_bruteforce(window: MemberWindow, n: int, h: int,
@@ -108,43 +111,66 @@ def _low_bits(mask: int) -> list[int]:
     return out
 
 
+# Status of a summand that has no nonzero digit yet; sorts before every class.
+EMPTY = -1
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Shared by all calls and needs no size limit: per configuration there are at
+# most (distinct quotients) x h classes x C(2h, h) keys, C(2h, h) being the
+# sorted status tuples (70 for h = 4), however large the inputs.
+@lru_cache(maxsize=None)
+def _transitions(d: int, c: int, statuses: tuple[int, ...]
+                 ) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The digit multisets at a (quotient d, class c) position.
+
+    `statuses` is sorted.  Summands committed to a class other than c must
+    take digit 0; the k committed to c take any digit in [0, d-1]; of the e
+    EMPTY ones, m take a nonzero digit and commit to c, in C(e, m) ways.
+    Returns (next sorted statuses, digit sum, number of ordered digit
+    vectors) triples: the multiplicity of sum s for a given m is
+    C(e, m) [x^s] (1 + x + ... + x^(d-1))^k (x + ... + x^(d-1))^m.
+    """
+    e = statuses.count(EMPTY)
+    k = statuses.count(c)
+    others = tuple(st for st in statuses if st != EMPTY and st != c)
+    poly = [1]
+    for _ in range(k):
+        poly = _poly_mul(poly, [1] * d)
+    out = []
+    for m in range(e + 1):
+        nxt = tuple(sorted(others + (c,) * (k + m) + (EMPTY,) * (e - m)))
+        ways = math.comb(e, m)
+        out += [(nxt, s, ways * coef) for s, coef in enumerate(poly) if coef]
+        poly = _poly_mul(poly, [0] + [1] * (d - 1))
+    return tuple(out)
+
+
 def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
                        zero_allowed: bool = False) -> RepCountResult:
     """Exact ordered representation count via a carry/commitment DP.
 
     Processes digit positions upward; at each position every summand takes
     a digit in [0, d-1], and a nonzero digit commits its summand to the
-    position's class (a committed summand never changes class).  A state is
-    (carry, per-summand status); the carry never exceeds h.  Accepts when
-    the carry has run out and, unless zero_allowed, every summand committed.
+    position's class (a committed summand never changes class).  The count
+    is symmetric under permuting the summands, so a state is (carry, sorted
+    summand statuses) and its ways count every ordering; the carry never
+    exceeds h.  Accepts when the carry has run out and, unless
+    zero_allowed, every summand committed.
     """
     if h < 2:
         raise DomainError(f"need h >= 2, got {h}")
     seq, part = spec.seq, spec.partition
-    EMPTY = -1
 
-    @lru_cache(maxsize=None)
-    def transitions(d: int, c: int, statuses: tuple[int, ...]):
-        """All digit assignments at a (quotient d, class c) position:
-        list of (new_statuses, digit_sum, multiplicity)."""
-        acc: dict[tuple[tuple[int, ...], int], int] = {}
-
-        def rec(s: int, cur: tuple[int, ...], total: int):
-            if s == len(statuses):
-                key = (cur, total)
-                acc[key] = acc.get(key, 0) + 1
-                return
-            st = statuses[s]
-            rec(s + 1, cur + (st,), total)  # digit 0
-            if st == EMPTY or st == c:
-                for x in range(1, d):
-                    rec(s + 1, cur + (c,), total + x)
-
-        rec(0, (), 0)
-        return [(sts, tot, mult) for (sts, tot), mult in acc.items()]
-
-    start = (0, (EMPTY,) * h)
-    states: dict[tuple[int, tuple[int, ...]], int] = {start: 1}
+    states: dict[tuple[int, tuple[int, ...]], int] = {(0, (EMPTY,) * h): 1}
+    peak = 1
     top = n.max_index() if not n.is_zero() else -1
     j = 0
     while states:
@@ -156,7 +182,7 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
             c = part.color(j)
             new_states: dict[tuple[int, tuple[int, ...]], int] = {}
             for (carry, statuses), ways in states.items():
-                for sts, tot, mult in transitions(d, c, statuses):
+                for sts, tot, mult in _transitions(d, c, statuses):
                     total = tot + carry
                     if total % d != r:
                         continue
@@ -177,6 +203,7 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
                 key = (carry // d, statuses)
                 new_states[key] = new_states.get(key, 0) + ways
             states = new_states
+        peak = max(peak, len(states))
         j += 1
 
     count = 0
@@ -186,7 +213,7 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
         if zero_allowed or all(st != EMPTY for st in statuses):
             count += ways
     return RepCountResult(ordered_count=count, zero_allowed=zero_allowed,
-                          enumeration=None)
+                          enumeration=None, peak_states=peak)
 
 
 @dataclass
@@ -222,16 +249,20 @@ def check_prefix_inequality(seq: GadicSequence, canonical: DigitRep,
             raise DigitRangeError(f"alternate coefficient {y} at index {v} "
                                   f"outside [1, {d - 1}]")
     n = seq.evaluate(canonical)
-    alt_total = sum(y * seq.value(v) for v, y in alt)
+    terms = sorted((v, y * seq.value(v)) for v, y in alt)
+    alt_total = sum(t for _, t in terms)
     if alt_total != n:
         raise DomainError(f"decompositions disagree: canonical={n}, alternate={alt_total}")
 
-    support = canonical.support
+    # one sweep: both the support and the sorted terms advance monotonically
     cutoffs, lhs_list, rhs_list, holds = [], [], [], []
-    lhs = 0
-    for u_k in support:
+    lhs = rhs = 0
+    i = 0
+    for u_k in canonical.support:
         lhs += canonical.digit(u_k) * seq.value(u_k)
-        rhs = sum(y * seq.value(v) for v, y in alt if v <= u_k)
+        while i < len(terms) and terms[i][0] <= u_k:
+            rhs += terms[i][1]
+            i += 1
         cutoffs.append(u_k)
         lhs_list.append(lhs)
         rhs_list.append(rhs)

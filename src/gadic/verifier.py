@@ -8,18 +8,18 @@ multiset, and a is in that multiset, so every representation of n uses a.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 
+from . import __version__
 from .core import DigitRep, DomainError
 from .basis import BasisSpec, MemberWindow
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
 from .repcount import count_reps_bruteforce, count_reps_digitdp, \
     hfold_sumset_window, sumset_gaps
-
-ENGINE_VERSION = "gadic 0.1.0"
 
 
 @dataclass
@@ -50,7 +50,7 @@ class WitnessCertificate:
     expected_count: int | None = None
     measured_count: int | None = None
     verdict: str = "unverified"
-    engine: str = ENGINE_VERSION
+    engine: str = f"gadic {__version__}"
 
     def multiset(self, spec: BasisSpec) -> list[int]:
         return sorted(spec.seq.evaluate(rep) for rep in self.summands.values())
@@ -224,18 +224,13 @@ def cross_check_witness(spec: BasisSpec, cert: WitnessCertificate,
     if n > window.N:
         raise DomainError(f"witness {n} exceeds window [0, {window.N}]")
     res = count_reps_bruteforce(window, n, spec.h)
-    expected_tuples = sorted(set(_permutations(cert.multiset(spec))))
+    expected_tuples = sorted(set(itertools.permutations(cert.multiset(spec))))
     if res.enumeration is None or sorted(res.enumeration) != expected_tuples:
         return False
     reduced = MemberWindow(N=window.N,
                            members=[m for m in window.members if m != cert.removed],
                            mask=window.mask & ~(1 << cert.removed))
     return count_reps_bruteforce(reduced, n, spec.h).ordered_count == 0
-
-
-def _permutations(values: list[int]) -> list[tuple[int, ...]]:
-    import itertools
-    return list(itertools.permutations(values))
 
 
 @dataclass

@@ -1,18 +1,115 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gadic import (BasisSpec, DigitRangeError, DomainError, GadicSequence,
-                   PartitionSpec, check_prefix_inequality,
-                   count_reps_bruteforce, count_reps_digitdp,
-                   hfold_sumset_window, mask_to_set)
+from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
+                   GadicSequence, PartitionSpec, check_prefix_inequality,
+                   construct_witness, count_reps_bruteforce,
+                   count_reps_digitdp, detect_interval_families,
+                   hfold_sumset_window, load_preset, mask_to_set, min_t)
 from gadic.repcount import sumset_gaps
 from gadic.verifier import random_alternate_decomposition
 
 
 def naive_gaps(mask: int, N: int) -> list[int]:
     return [n for n in range(N + 1) if not (mask >> n) & 1]
+
+
+def ordered_digitdp(spec: BasisSpec, n: DigitRep, h: int,
+                    zero_allowed: bool = False) -> tuple[int, int, int]:
+    """Reference carry/commitment DP over ordered per-summand status tuples,
+    enumerating every ordered digit vector at every position.
+
+    Returns (ordered count, most live states at a position, most distinct
+    (carry, status multiset) pairs at a position).
+    """
+    seq, part = spec.seq, spec.partition
+    EMPTY = -1
+
+    @lru_cache(maxsize=None)
+    def transitions(d: int, c: int, statuses: tuple[int, ...]):
+        acc: dict[tuple[tuple[int, ...], int], int] = {}
+
+        def rec(s: int, cur: tuple[int, ...], total: int):
+            if s == len(statuses):
+                acc[cur, total] = acc.get((cur, total), 0) + 1
+                return
+            st_ = statuses[s]
+            rec(s + 1, cur + (st_,), total)  # digit 0
+            if st_ == EMPTY or st_ == c:
+                for x in range(1, d):
+                    rec(s + 1, cur + (c,), total + x)
+
+        rec(0, (), 0)
+        return [(sts, tot, mult) for (sts, tot), mult in acc.items()]
+
+    states = {(0, (EMPTY,) * h): 1}
+    peak = multiset_peak = 1
+    top = n.max_index() if not n.is_zero() else -1
+    j = 0
+    while states:
+        if j > top and all(carry == 0 for carry, _ in states):
+            break
+        d = seq.quotient(j + 1)
+        r = n.digit(j)
+        new_states: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (carry, statuses), ways in states.items():
+            moves = (transitions(d, part.color(j), statuses) if j <= top
+                     else [(statuses, 0, 1)])
+            for sts, tot, mult in moves:
+                total = tot + carry
+                if total % d == r:
+                    key = (total // d, sts)
+                    new_states[key] = new_states.get(key, 0) + ways * mult
+        states = new_states
+        peak = max(peak, len(states))
+        multiset_peak = max(multiset_peak, len({(carry, tuple(sorted(sts)))
+                                                for carry, sts in states}))
+        j += 1
+    count = sum(ways for (carry, statuses), ways in states.items()
+                if carry == 0 and (zero_allowed or EMPTY not in statuses))
+    return count, peak, multiset_peak
+
+
+QUOTIENTS = st.sampled_from([2, 3, 5])
+
+
+@st.composite
+def configurations(draw, min_run: int = 1):
+    """A BasisSpec with h in {2, 3, 4}, quotients in {2, 3, 5}, a possibly
+    nonempty quotient and color prefix, and a period coloring that uses
+    every class in runs of at least `min_run`."""
+    h = draw(st.sampled_from([2, 3, 4]))
+    runs = [(c, draw(st.integers(min_run, min_run + 1))) for c in range(h)]
+    runs += [(draw(st.integers(0, h - 1)), draw(st.integers(1, min_run)))
+             for _ in range(draw(st.integers(0, 2)))]
+    period_colors = [c for c, r in draw(st.permutations(runs)) for _ in range(r)]
+    return BasisSpec(
+        seq=GadicSequence(period=draw(st.lists(QUOTIENTS, min_size=1, max_size=3)),
+                          prefix=draw(st.lists(QUOTIENTS, max_size=3))),
+        partition=PartitionSpec(
+            h=h, period_colors=period_colors,
+            prefix_colors=draw(st.lists(st.integers(0, h - 1), max_size=3))))
+
+
+def member_of_class(spec: BasisSpec, cls: int, top: int, rng) -> int:
+    """A member of class `cls` (or 0) with random digits on the class-`cls`
+    indices below `top`."""
+    seq = spec.seq
+    return sum(rng.randrange(seq.quotient(j + 1)) * seq.value(j)
+               for j in range(top) if spec.partition.color(j) == cls)
+
+
+def dense_sum(spec: BasisSpec, cls: int, top: int, rng) -> int:
+    """Sum of h members of one class with every class digit maximal or
+    nearly so: carries at every position keep many DP states alive."""
+    seq = spec.seq
+    return sum(sum((seq.quotient(j + 1) - 1 - (rng.random() < 0.1))
+                   * seq.value(j)
+                   for j in range(top) if spec.partition.color(j) == cls)
+               for _ in range(spec.h))
 
 
 class TestBruteForce:
@@ -84,6 +181,71 @@ class TestDigitDP:
                 assert bf == dp, (n, zero_allowed)
 
 
+class TestOrderedOracle:
+    """The summand-symmetric DP against the ordered-vector reference."""
+
+    @staticmethod
+    def check(spec: BasisSpec, n: int, zero_allowed: bool) -> None:
+        rep = spec.seq.represent(n)
+        res = count_reps_digitdp(spec, rep, spec.h, zero_allowed=zero_allowed)
+        count, peak, multiset_peak = ordered_digitdp(spec, rep, spec.h,
+                                                     zero_allowed)
+        assert res.ordered_count == count
+        # one state per (carry, status multiset) the ordered DP reaches
+        assert res.peak_states == multiset_peak <= peak
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=configurations(), n=st.integers(0, 1 << 128),
+           zero_allowed=st.booleans())
+    def test_random_integers(self, spec, n, zero_allowed):
+        self.check(spec, n, zero_allowed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=configurations(), top=st.integers(1, 128),
+           rnd=st.randoms(use_true_random=False), zero_allowed=st.booleans())
+    def test_sums_of_members(self, spec, top, rnd, zero_allowed):
+        # sums of h members of random classes have representations
+        n = sum(member_of_class(spec, rnd.randrange(spec.h), top, rnd)
+                for _ in range(spec.h))
+        self.check(spec, min(n, 1 << 128), zero_allowed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=configurations(min_run=3), k=st.integers(0, 5),
+           shift=st.integers(0, 3), zero_allowed=st.booleans())
+    def test_constructed_witnesses(self, spec, k, shift, zero_allowed):
+        t = min_t(spec.h)
+        fams = detect_interval_families(spec.partition, t)
+        members = spec.enumerate(2000).members
+        a = members[min(k, len(members) - 1)]
+        M0 = spec.seq.leading_index(a)
+        choices = {}
+        for i in range(spec.h):
+            if i != spec.classify(a):
+                gen = fams.members_from(i, M0 + t)
+                for _ in range(shift + 1):
+                    choices[i] = next(gen)
+        cert = construct_witness(spec, t, a, fams=fams, choices=choices)
+        self.check(spec, cert.n_value, zero_allowed)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_witnesses(self, name):
+        cfg = load_preset(name)
+        spec, t = cfg.basis, cfg.t
+        for a in spec.enumerate(200).members[:8]:
+            for zero_allowed in (False, True):
+                self.check(spec, construct_witness(spec, t, a).n_value,
+                           zero_allowed)
+
+    def test_fewer_peak_states_on_a_dense_h4_sum(self):
+        spec = load_preset("h4-runs").basis
+        n = dense_sum(spec, 1, 96, random.Random(3))
+        rep = spec.seq.represent(n)
+        res = count_reps_digitdp(spec, rep, spec.h)
+        count, peak, _ = ordered_digitdp(spec, rep, spec.h)
+        assert res.ordered_count == count > 0
+        assert res.peak_states < peak
+
+
 class TestHfoldSumset:
     def test_single_element(self):
         assert mask_to_set(hfold_sumset_window(1 << 1, 10, 3)) == {3}
@@ -131,6 +293,24 @@ class TestPrefixInequality:
     def test_out_of_range_coefficient_rejected(self, binary):
         with pytest.raises(DigitRangeError):
             check_prefix_inequality(binary, binary.represent(4), [(1, 2)])
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_sweep_matches_per_cutoff_sums(self, name):
+        seq = load_preset(name).seq
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randrange(1, 10 ** 12)
+            alt = random_alternate_decomposition(seq, n, rng, max_steps=30)
+            canonical = seq.represent(n)
+            report = check_prefix_inequality(seq, canonical, alt)
+            support = canonical.support
+            lhs = [sum(canonical.digit(u) * seq.value(u) for u in support[:k + 1])
+                   for k in range(len(support))]
+            rhs = [sum(y * seq.value(v) for v, y in alt if v <= u)
+                   for u in support]
+            assert (report.n, report.cutoffs, report.lhs, report.rhs) \
+                == (n, support, lhs, rhs)
+            assert report.holds == [a <= b for a, b in zip(lhs, rhs)]
 
     def test_random_downward_splits(self, mixed23):
         rng = random.Random(7)
