@@ -173,14 +173,20 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     t2 = time.perf_counter()
     gaps = sumset_gaps(s, N)
     t3 = time.perf_counter()
+    big = (1 << 8192) - 12345
+    cfg.seq.represent(big)
+    M = cfg.seq.leading_index(big)
+    t4 = time.perf_counter()
     rep = cfg.seq.represent((1 << 256) + 12345)
     dp = count_reps_digitdp(spec, rep, spec.h)
-    t4 = time.perf_counter()
+    t5 = time.perf_counter()
     print(f"enumerate [1,{N}]: {len(window.members)} members, {t1 - t0:.3f}s")
     print(f"{spec.h}-fold sumset over [0,{N}]: {t2 - t1:.3f}s")
     print(f"gap extraction over [0,{N}]: {len(gaps)} gaps, {t3 - t2:.3f}s")
-    print(f"digit DP on a 256-bit integer: {dp.peak_states} peak states, "
+    print(f"represent + leading_index on an 8192-bit integer: {M + 1} digits, "
           f"{t4 - t3:.3f}s")
+    print(f"digit DP on a 256-bit integer: {dp.peak_states} peak states, "
+          f"{t5 - t4:.3f}s")
     return EXIT_OK
 
 

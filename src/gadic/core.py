@@ -7,7 +7,9 @@ with digits x_j in [0, d_{j+1} - 1]; we store only the nonzero digits.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, cycle
 from typing import Iterator
 
 
@@ -20,7 +22,12 @@ class DigitRangeError(ValueError):
 
 
 class GadicSequence:
-    """The quotient stream (d_i) and lazily cached scale values g_i."""
+    """The quotient stream (d_i) and a lazily grown scale table.
+
+    The table holds g_0..g_k in `_cache` and, in step with it, the quotients
+    d_1..d_k in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit j).  Only
+    `value` grows it; the digit loops index both lists directly.
+    """
 
     def __init__(self, period: list[int], prefix: list[int] | None = None):
         prefix = list(prefix) if prefix else []
@@ -33,6 +40,7 @@ class GadicSequence:
         self.prefix = prefix
         self.period = period
         self._cache = [1]  # g_0
+        self._quot: list[int] = []
 
     def quotient(self, i: int) -> int:
         """d_i for i >= 1 (prefix lookup, then periodic)."""
@@ -46,56 +54,54 @@ class GadicSequence:
         """g_i = d_1 * d_2 * ... * d_i, exact; g_0 = 1."""
         if i < 0:
             raise DomainError(f"scale index must be >= 0, got {i}")
-        while i >= len(self._cache):
-            k = len(self._cache)
-            self._cache.append(self._cache[k - 1] * self.quotient(k))
-        return self._cache[i]
-
-    def ratio(self, i: int, j: int) -> int:
-        """g_{i+j} / g_i as the quotient product d_{i+1} * ... * d_{i+j}."""
-        if j < 1:
-            raise DomainError(f"ratio requires j >= 1, got {j}")
-        r = 1
-        for k in range(i + 1, i + j + 1):
-            r *= self.quotient(k)
-        return r
+        cache = self._cache
+        while i >= len(cache):
+            d = self.quotient(len(cache))
+            self._quot.append(d)
+            cache.append(cache[-1] * d)
+        return cache[i]
 
     def represent(self, n: int) -> "DigitRep":
-        """The unique sparse digit map of n >= 0; 0 maps to the empty rep."""
+        """The unique sparse digit map of n >= 0; 0 maps to the empty rep.
+
+        Divides n down the quotient stream; the scale table is not touched.
+        """
         if n < 0:
             raise DomainError(f"cannot represent negative integer {n}")
         digits: dict[int, int] = {}
-        j = 0
-        while n > 0:
-            d = self.quotient(j + 1)
+        for j, d in enumerate(chain(self.prefix, cycle(self.period))):
+            if not n:
+                break
             n, x = divmod(n, d)
             if x:
                 digits[j] = x
-            j += 1
         return DigitRep(digits)
 
     def evaluate(self, rep: "DigitRep") -> int:
         """Exact sum of x_j * g_j; validates digit ranges against this sequence."""
+        if rep.is_zero():
+            return 0
+        self.value(rep.max_index() + 1)
+        quot, cache = self._quot, self._cache
         total = 0
         for j, x in rep.items():
-            d = self.quotient(j + 1)
-            if not 1 <= x <= d - 1:
-                raise DigitRangeError(f"digit {x} at index {j} outside [1, {d - 1}]")
-            total += x * self.value(j)
+            if not 1 <= x < quot[j]:
+                raise DigitRangeError(f"digit {x} at index {j} outside [1, {quot[j] - 1}]")
+            total += x * cache[j]
         return total
 
     def leading_index(self, n: int) -> int:
-        """Largest index in the support of n >= 1; g_M <= n < g_{M+1}."""
+        """Largest index in the support of n >= 1; g_M <= n < g_{M+1}.
+
+        Grows the scale table past n, so g_0..g_{M+1} stay cached, then
+        bisects it.
+        """
         if n < 1:
             raise DomainError("leading index is undefined for n < 1 (empty support)")
-        M = 0
-        g = 1
-        while True:
-            g_next = g * self.quotient(M + 1)
-            if n < g_next:
-                return M
-            g = g_next
-            M += 1
+        cache = self._cache
+        while cache[-1] <= n:
+            self.value(len(cache))
+        return bisect_right(cache, n) - 1
 
     def serialize(self) -> str:
         return f"prefix={self.prefix!r};period={self.period!r}".replace(" ", "")
@@ -122,11 +128,13 @@ class DigitRep:
     digits: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for j, x in self.digits.items():
-            if j < 0:
-                raise ValueError(f"negative digit index {j}")
-            if x < 1:
-                raise ValueError(f"stored digit must be positive, got {x} at {j}")
+        digits = self.digits
+        if digits and (min(digits) < 0 or min(digits.values()) < 1):
+            for j, x in sorted(digits.items()):
+                if j < 0:
+                    raise ValueError(f"negative digit index {j}")
+                if x < 1:
+                    raise ValueError(f"stored digit must be positive, got {x} at {j}")
 
     @property
     def support(self) -> list[int]:

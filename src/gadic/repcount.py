@@ -243,14 +243,19 @@ def check_prefix_inequality(seq: GadicSequence, canonical: DigitRep,
     """
     if canonical.is_zero():
         raise DomainError("canonical representation must be of a positive integer")
+    alt = sorted(alt)
+    if alt and alt[0][0] < 0:
+        # the index of d_{v+1}, as GadicSequence.quotient reports it
+        raise DomainError(f"quotients are indexed from 1, got i={alt[0][0] + 1}")
+    seq.value(max(canonical.max_index(), alt[-1][0] if alt else 0) + 1)
+    quot, g = seq._quot, seq._cache
     for v, y in alt:
-        d = seq.quotient(v + 1)
-        if not 1 <= y <= d - 1:
+        if not 1 <= y < quot[v]:
             raise DigitRangeError(f"alternate coefficient {y} at index {v} "
-                                  f"outside [1, {d - 1}]")
+                                  f"outside [1, {quot[v] - 1}]")
     n = seq.evaluate(canonical)
-    terms = sorted((v, y * seq.value(v)) for v, y in alt)
-    alt_total = sum(t for _, t in terms)
+    terms = [y * g[v] for v, y in alt]
+    alt_total = sum(terms)
     if alt_total != n:
         raise DomainError(f"decompositions disagree: canonical={n}, alternate={alt_total}")
 
@@ -258,10 +263,10 @@ def check_prefix_inequality(seq: GadicSequence, canonical: DigitRep,
     cutoffs, lhs_list, rhs_list, holds = [], [], [], []
     lhs = rhs = 0
     i = 0
-    for u_k in canonical.support:
-        lhs += canonical.digit(u_k) * seq.value(u_k)
-        while i < len(terms) and terms[i][0] <= u_k:
-            rhs += terms[i][1]
+    for u_k, x in canonical.items():
+        lhs += x * g[u_k]
+        while i < len(alt) and alt[i][0] <= u_k:
+            rhs += terms[i]
             i += 1
         cutoffs.append(u_k)
         lhs_list.append(lhs)

@@ -124,6 +124,13 @@ def verify_theorem2(spec: BasisSpec, N: int,
     return with_zero, verify_theorem1(spec, N, window)
 
 
+def _check_t(t: int, h: int, override: bool) -> None:
+    """The hypothesis t >= min_t(h) of the minimality construction."""
+    if t < min_t(h) and not override:
+        raise HypothesisViolatedError(
+            f"t={t} below threshold {min_t(h)} for h={h} (pass override to force)")
+
+
 def construct_witness(spec: BasisSpec, t: int, a: int,
                       fams: IntervalFamilies | None = None,
                       choices: dict[int, int] | None = None,
@@ -137,9 +144,7 @@ def construct_witness(spec: BasisSpec, t: int, a: int,
     digits are the plain union (no carries).
     """
     h = spec.h
-    if t < min_t(h) and not override:
-        raise HypothesisViolatedError(
-            f"t={t} below threshold {min_t(h)} for h={h} (pass override to force)")
+    _check_t(t, h, override)
     i0 = spec.classify(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
@@ -258,9 +263,7 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     strictly larger witnesses, exhibiting infinitude on a finite budget.
     """
     h = spec.h
-    if t < min_t(h) and not override:
-        raise HypothesisViolatedError(
-            f"t={t} below threshold {min_t(h)} for h={h} (pass override to force)")
+    _check_t(t, h, override)
     fams = detect_interval_families(spec.partition, t)
     for i in range(h):
         if not fams.is_infinite(i):

@@ -127,6 +127,7 @@ def test_bench_runs(capsys):
     out = capsys.readouterr().out
     assert "sumset" in out
     assert "gap extraction over [0,500]: 2 gaps" in out
+    assert "represent + leading_index on an 8192-bit integer: 8192 digits" in out
     assert "digit DP on a 256-bit integer: 2 peak states" in out
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,21 +51,16 @@ class TestValue:
             assert mixed23.value(i) > mixed23.value(i - 1)
             assert mixed23.value(i) % mixed23.value(i - 1) == 0
 
-
-class TestRatio:
-    def test_matches_value_quotient(self, mixed23):
-        assert mixed23.ratio(1, 2) == mixed23.value(3) // mixed23.value(1) == 6
-
-    def test_single_factor(self, mixed23):
-        assert mixed23.ratio(5, 1) == mixed23.quotient(6)
-
-    def test_binary_block(self, binary):
-        assert binary.ratio(3, 4) == 16
+    def test_block_examples(self, binary, mixed23):
+        assert mixed23.value(3) // mixed23.value(1) == 6
+        assert mixed23.value(6) // mixed23.value(5) == mixed23.quotient(6)
+        assert binary.value(7) // binary.value(3) == 16
 
     @given(i=st.integers(0, 30), j=st.integers(1, 10))
-    def test_ratio_identity(self, i, j):
+    def test_block_quotient_product(self, i, j):
         seq = GadicSequence(prefix=[7, 3], period=[2, 5, 2])
-        assert seq.ratio(i, j) == seq.value(i + j) // seq.value(i)
+        assert seq.value(i + j) // seq.value(i) == math.prod(
+            seq.quotient(k) for k in range(i + 1, i + j + 1))
 
 
 class TestRepresent:
@@ -108,6 +105,20 @@ class TestEvaluate:
     def test_out_of_range_digit_rejected(self, binary):
         with pytest.raises(DigitRangeError):
             binary.evaluate(DigitRep({3: 2}))
+
+
+class TestDigitRepValidation:
+    def test_negative_index_message(self):
+        with pytest.raises(ValueError, match=r"^negative digit index -2$"):
+            DigitRep({3: 1, -1: 0, -2: 1})
+
+    def test_nonpositive_digit_message(self):
+        with pytest.raises(ValueError,
+                           match=r"^stored digit must be positive, got -1 at 2$"):
+            DigitRep({7: 0, 2: -1, 0: 1})
+
+    def test_valid_digits_accepted(self):
+        assert DigitRep({4: 1, 0: 3}).support == [0, 4]
 
 
 class TestUniqueness:
@@ -184,3 +195,141 @@ def test_lazy_cache_concurrent_extension(mixed23):
     for th in threads:
         th.join()
     assert all(r == results[0] for r in results)
+
+
+# Reference implementations for the digit layer: one quotient() call per
+# digit, scale values multiplied forward from g_0, no scale table.
+
+def represent_oracle(seq: GadicSequence, n: int) -> dict[int, int]:
+    digits = {}
+    j = 0
+    while n > 0:
+        n, x = divmod(n, seq.quotient(j + 1))
+        if x:
+            digits[j] = x
+        j += 1
+    return digits
+
+
+def leading_index_oracle(seq: GadicSequence, n: int) -> int:
+    M, g = 0, 1
+    while True:
+        g_next = g * seq.quotient(M + 1)
+        if n < g_next:
+            return M
+        g, M = g_next, M + 1
+
+
+def evaluate_oracle(seq: GadicSequence, digits: dict[int, int]) -> int:
+    total, g = 0, 1
+    for j in range(max(digits, default=-1) + 1):
+        d = seq.quotient(j + 1)
+        x = digits.get(j, 0)
+        if x and not 1 <= x <= d - 1:
+            raise DigitRangeError(f"digit {x} at index {j} outside [1, {d - 1}]")
+        total += x * g
+        g *= d
+    return total
+
+
+def scale_oracle(seq: GadicSequence, i: int) -> int:
+    return math.prod(seq.quotient(k) for k in range(1, i + 1))
+
+
+quotients = st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=4)
+sequence_params = st.tuples(quotients, quotients)   # (prefix, period)
+big_ints = st.one_of(st.integers(1, 10 ** 6), st.integers(1, 1 << 4096))
+
+
+def fresh(params) -> GadicSequence:
+    prefix, period = params
+    return GadicSequence(prefix=prefix, period=period)
+
+
+class TestDigitLayerOracles:
+    @given(params=sequence_params, n=st.one_of(st.just(0), big_ints))
+    @settings(max_examples=150, deadline=None)
+    def test_represent_and_evaluate(self, params, n):
+        seq = fresh(params)
+        rep = seq.represent(n)
+        assert rep.digits == represent_oracle(seq, n)
+        assert seq.evaluate(rep) == evaluate_oracle(seq, rep.digits) == n
+
+    @given(params=sequence_params, n=big_ints)
+    @settings(max_examples=150, deadline=None)
+    def test_leading_index(self, params, n):
+        assert fresh(params).leading_index(n) == leading_index_oracle(fresh(params), n)
+
+    @given(params=sequence_params, M=st.integers(0, 600))
+    @settings(max_examples=100, deadline=None)
+    def test_boundaries(self, params, M):
+        oracle = fresh(params)
+        g_M, g_next = scale_oracle(oracle, M), scale_oracle(oracle, M + 1)
+        for n in (g_M - 1, g_M, g_next - 1):
+            if n < 1:
+                continue
+            seq = fresh(params)
+            assert seq.leading_index(n) == leading_index_oracle(oracle, n)
+            assert seq.represent(n).digits == represent_oracle(oracle, n)
+        assert fresh(params).leading_index(g_M) == M
+        assert fresh(params).leading_index(g_next - 1) == M
+
+    @given(params=sequence_params, n=big_ints, extra=big_ints)
+    @settings(max_examples=100, deadline=None)
+    def test_cache_state_independence(self, params, n, extra):
+        M = leading_index_oracle(fresh(params), n)
+        cold = fresh(params)
+        warm_past = fresh(params)
+        warm_past.value(M + 7)
+        warmed_larger = fresh(params)
+        warmed_larger.leading_index(n + extra)
+        rep = represent_oracle(cold, n)
+        for seq in (cold, warm_past, warmed_larger):
+            assert seq.leading_index(n) == M
+            assert seq.represent(n).digits == rep
+            assert seq.evaluate(DigitRep(rep)) == n
+
+    @given(params=sequence_params,
+           digits=st.dictionaries(st.integers(0, 200), st.integers(1, 12),
+                                  min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_cold_reports_lowest_bad_index(self, params, digits):
+        try:
+            expected = evaluate_oracle(fresh(params), digits)
+        except DigitRangeError as exc:
+            with pytest.raises(DigitRangeError) as info:
+                fresh(params).evaluate(DigitRep(digits))
+            assert str(info.value) == str(exc)
+        else:
+            assert fresh(params).evaluate(DigitRep(digits)) == expected
+
+
+def test_digit_loops_make_no_quotient_calls(monkeypatch):
+    """represent never calls quotient; leading_index, evaluate and
+    check_prefix_inequality make no call once the scale table is warm."""
+    from gadic import check_prefix_inequality
+    seq = GadicSequence(prefix=[3, 7], period=[2, 5, 2])
+    n = random.Random(4).getrandbits(4096) | (1 << 4095)
+    smaller = n // 3 + 1
+    expected = leading_index_oracle(
+        GadicSequence(prefix=[3, 7], period=[2, 5, 2]), smaller)
+    calls = 0
+    real = GadicSequence.quotient
+
+    def counting(self, i):
+        nonlocal calls
+        calls += 1
+        return real(self, i)
+
+    monkeypatch.setattr(GadicSequence, "quotient", counting)
+    rep = seq.represent(n)
+    assert calls == 0
+    assert len(seq._cache) == 1   # represent leaves the scale table alone
+    M = seq.leading_index(n)       # cold: grows the table to g_{M+1}
+    assert M == rep.max_index()
+    calls = 0
+    assert seq.leading_index(n) == M
+    assert seq.leading_index(smaller) == expected
+    assert seq.evaluate(rep) == n
+    assert check_prefix_inequality(seq, rep, list(rep.items())).all_hold
+    assert calls == 0

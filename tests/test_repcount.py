@@ -294,6 +294,18 @@ class TestPrefixInequality:
         with pytest.raises(DigitRangeError):
             check_prefix_inequality(binary, binary.represent(4), [(1, 2)])
 
+    def test_lowest_bad_index_reported_on_cold_table(self):
+        seq = GadicSequence(prefix=[3], period=[2, 5])
+        with pytest.raises(DigitRangeError, match=r"^alternate coefficient 3 "
+                           r"at index 1 outside \[1, 1\]$"):
+            check_prefix_inequality(seq, seq.represent(40),
+                                    [(40, 9), (2, 7), (1, 3), (3, 1)])
+
+    def test_negative_index_rejected(self, binary):
+        with pytest.raises(DomainError,
+                           match=r"^quotients are indexed from 1, got i=-2$"):
+            check_prefix_inequality(binary, binary.represent(4), [(2, 1), (-3, 1)])
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_sweep_matches_per_cutoff_sums(self, name):
         seq = load_preset(name).seq

@@ -157,6 +157,28 @@ class TestMinimalityBatch:
             verify_minimality(binary_pairs, t=1, K=1, W=1)
 
 
+class TestThresholdGuard:
+    """construct_witness and verify_minimality share one t >= min_t(h) guard."""
+
+    CASES = [("binary-h2", 1, r"^t=1 below threshold 2 for h=2 "),
+             ("h4-runs", 2, r"^t=2 below threshold 3 for h=4 ")]
+
+    @pytest.mark.parametrize("name,t,message", CASES)
+    def test_construct_witness(self, name, t, message):
+        spec = load_preset(name).basis
+        a = spec.enumerate(64).members[0]
+        with pytest.raises(HypothesisViolatedError,
+                           match=message + r"\(pass override to force\)$"):
+            construct_witness(spec, t, a)
+
+    @pytest.mark.parametrize("K", [0, 1])
+    @pytest.mark.parametrize("name,t,message", CASES)
+    def test_verify_minimality(self, name, t, message, K):
+        with pytest.raises(HypothesisViolatedError,
+                           match=message + r"\(pass override to force\)$"):
+            verify_minimality(load_preset(name).basis, t=t, K=K, W=1)
+
+
 class TestRemovabilityScan:
     def test_removing_zero_keeps_window_basis(self, binary_pairs):
         rows = removability_scan(binary_pairs, 500, elem_bound=4)
