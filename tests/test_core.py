@@ -51,16 +51,25 @@ class TestValue:
             assert mixed23.value(i) > mixed23.value(i - 1)
             assert mixed23.value(i) % mixed23.value(i - 1) == 0
 
-    def test_block_examples(self, binary, mixed23):
-        assert mixed23.value(3) // mixed23.value(1) == 6
-        assert mixed23.value(6) // mixed23.value(5) == mixed23.quotient(6)
-        assert binary.value(7) // binary.value(3) == 16
-
     @given(i=st.integers(0, 30), j=st.integers(1, 10))
     def test_block_quotient_product(self, i, j):
         seq = GadicSequence(prefix=[7, 3], period=[2, 5, 2])
         assert seq.value(i + j) // seq.value(i) == math.prod(
             seq.quotient(k) for k in range(i + 1, i + j + 1))
+
+
+class TestRatio:
+    """Block ratios g_{i+j} / g_i, read off `value`."""
+
+    def test_matches_value_quotient(self, mixed23):
+        assert mixed23.value(3) // mixed23.value(1) == 6
+        assert mixed23.value(3) % mixed23.value(1) == 0
+
+    def test_single_factor(self, mixed23):
+        assert mixed23.value(6) // mixed23.value(5) == mixed23.quotient(6)
+
+    def test_binary_block(self, binary):
+        assert binary.value(7) // binary.value(3) == 16
 
 
 class TestRepresent:
