@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .core import DigitRep, DomainError, GadicSequence
+from .core import DomainError, GadicSequence
 from .partition import PartitionSpec
 
 # Window bit arrays are plain ints (bit n set <=> n in the set); this caps
@@ -41,28 +41,8 @@ class BasisSpec:
         """
         if n < 0:
             raise DomainError(f"classify expects n >= 0, got {n}")
-        if n == 0:
-            return None
         color = self.partition.color
-        seq = self.seq
-        c = None
-        j = 0
-        while n > 0:
-            n, x = divmod(n, seq.quotient(j + 1))
-            if x:
-                cj = color(j)
-                if c is None:
-                    c = cj
-                elif cj != c:
-                    return None
-            j += 1
-        return c
-
-    def classify_rep(self, rep: DigitRep) -> int | None:
-        """classify() on an already computed digit map."""
-        if rep.is_zero():
-            return None
-        colors = {self.partition.color(j) for j in rep.digits}
+        colors = {color(j) for j in self.seq.represent(n).digits}
         return colors.pop() if len(colors) == 1 else None
 
     def enumerate(self, N: int, limit: int = DEFAULT_WINDOW_LIMIT) -> "MemberWindow":

@@ -7,10 +7,19 @@ with digits x_j in [0, d_{j+1} - 1]; we store only the nonzero digits.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, cycle
 from typing import Iterator
+
+# Largest block radix of a run of quotients; a run's digit table has one
+# row per remainder, so this bounds each table at 256 rows.
+_BLOCK = 1 << 8
+
+# (block radix B, width, rows): rows[r] holds the (offset, digit) pairs of
+# the nonzero digits of r < B; None for a lone quotient above _BLOCK.
+_Run = tuple[int, int, "list[tuple[tuple[int, int], ...]] | None"]
 
 
 class DomainError(ValueError):
@@ -22,11 +31,14 @@ class DigitRangeError(ValueError):
 
 
 class GadicSequence:
-    """The quotient stream (d_i) and a lazily grown scale table.
+    """The quotient stream (d_i), a lazily grown scale table and the digit
+    tables of `represent`.
 
-    The table holds g_0..g_k in `_cache` and, in step with it, the quotients
-    d_1..d_k in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit j).  Only
-    `value` grows it; the digit loops index both lists directly.
+    The scale table holds g_0..g_k in `_cache` and, in step with it, the
+    quotients d_1..d_k in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit
+    j).  Only `value` grows it; the digit loops index both lists directly.
+    `_runs` holds the prefix runs and the period runs of the quotient stream
+    (see `_cut_runs`), built on the first `represent`.
     """
 
     def __init__(self, period: list[int], prefix: list[int] | None = None):
@@ -41,6 +53,7 @@ class GadicSequence:
         self.period = period
         self._cache = [1]  # g_0
         self._quot: list[int] = []
+        self._runs: tuple[list[_Run], list[_Run]] | None = None
 
     def quotient(self, i: int) -> int:
         """d_i for i >= 1 (prefix lookup, then periodic)."""
@@ -64,17 +77,32 @@ class GadicSequence:
     def represent(self, n: int) -> "DigitRep":
         """The unique sparse digit map of n >= 0; 0 maps to the empty rep.
 
-        Divides n down the quotient stream; the scale table is not touched.
+        Divides n down the quotient stream one run at a time: the remainder
+        modulo the run's block radix selects a table row holding that
+        block's nonzero digits.  The scale table is not touched.
         """
         if n < 0:
             raise DomainError(f"cannot represent negative integer {n}")
+        if self._runs is None:
+            # as many whole periods per run as fit: [2] -> 2^8, [2, 3] -> 6^3
+            reps = 1
+            P = math.prod(self.period)
+            while P ** (reps + 1) <= _BLOCK:
+                reps += 1
+            self._runs = (_cut_runs(self.prefix), _cut_runs(self.period * reps))
         digits: dict[int, int] = {}
-        for j, d in enumerate(chain(self.prefix, cycle(self.period))):
+        j = 0
+        for B, width, rows in chain(self._runs[0], cycle(self._runs[1])):
             if not n:
                 break
-            n, x = divmod(n, d)
-            if x:
-                digits[j] = x
+            n, r = divmod(n, B)
+            if rows is None:
+                if r:
+                    digits[j] = r
+            else:
+                for o, x in rows[r]:
+                    digits[j + o] = x
+            j += width
         return DigitRep(digits)
 
     def evaluate(self, rep: "DigitRep") -> int:
@@ -172,6 +200,30 @@ class DigitRep:
 
     def __len__(self) -> int:
         return len(self.digits)
+
+
+def _cut_runs(quots: list[int]) -> list[_Run]:
+    """Cut quots greedily into runs of consecutive quotients whose product
+    is at most _BLOCK.  A quotient above _BLOCK is a run of its own and gets
+    no table, so memory stays bounded whatever the quotients."""
+    runs: list[_Run] = []
+    start = 0
+    while start < len(quots):
+        end, B = start + 1, quots[start]
+        while end < len(quots) and B * quots[end] <= _BLOCK:
+            B *= quots[end]
+            end += 1
+        rows = None
+        if B <= _BLOCK:
+            # One digit position at a time: row x * (product so far) + r is
+            # row r plus the pair (o, x).
+            rows = [()]
+            for o, d in enumerate(quots[start:end]):
+                rows = [row + ((o, x),) if x else row
+                        for x in range(d) for row in rows]
+        runs.append((B, end - start, rows))
+        start = end
+    return runs
 
 
 def _parse_int_list(text: str) -> list[int]:

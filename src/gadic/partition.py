@@ -98,9 +98,6 @@ class IntervalFamilies:
     def is_infinite(self, i: int) -> bool:
         return bool(self.residues[i])
 
-    def is_empty(self, i: int) -> bool:
-        return not self.residues[i] and not self.prefix_members[i]
-
     def contains(self, i: int, M: int) -> bool:
         if M >= self.threshold:
             return M % self.modulus in self.residues[i]
@@ -126,14 +123,6 @@ class IntervalFamilies:
             M = self.nth_member(i, M)
             yield M
             M += 1
-
-    def serialize(self) -> str:
-        lines = []
-        for i in range(len(self.residues)):
-            res = sorted(self.residues[i])
-            lines.append(f"class={i}: residues {{{','.join(map(str, res))}}} "
-                         f"mod {self.modulus}; prefix-members {self.prefix_members[i]!r}")
-        return "\n".join(lines)
 
 
 def detect_interval_families(spec: PartitionSpec, t: int) -> IntervalFamilies:

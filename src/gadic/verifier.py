@@ -32,7 +32,6 @@ class BasisReport:
     gaps: list[int]          # values in [0, N] missing from the h-fold sumset
     passed: bool
     elapsed: float
-    label: str = "order-h sumset window"
 
 
 @dataclass
@@ -101,8 +100,7 @@ def verify_theorem1(spec: BasisSpec, N: int,
     gaps = sumset_gaps(s, N)
     return BasisReport(spec_text=spec.serialize(), N=N, h=spec.h, gaps=gaps,
                        passed=(gaps == list(range(spec.h))),
-                       elapsed=time.perf_counter() - t0,
-                       label="asymptotic basis window")
+                       elapsed=time.perf_counter() - t0)
 
 
 def verify_theorem2(spec: BasisSpec, N: int,
@@ -119,8 +117,7 @@ def verify_theorem2(spec: BasisSpec, N: int,
     gaps = sumset_gaps(s, N)
     with_zero = BasisReport(spec_text=spec.serialize(), N=N, h=spec.h,
                             gaps=gaps, passed=(gaps == []),
-                            elapsed=time.perf_counter() - t0,
-                            label="basis with 0 adjoined")
+                            elapsed=time.perf_counter() - t0)
     return with_zero, verify_theorem1(spec, N, window)
 
 
@@ -327,12 +324,12 @@ def check_lemma1(seq, samples: int = 100_000, max_converse_index: int = 12,
     return True, None
 
 
-def random_alternate_decomposition(seq, n: int, rng,
+def random_alternate_decomposition(seq, rep: DigitRep, rng,
                                    max_steps: int = 12) -> list[tuple[int, int]]:
-    """Split the canonical digits of n downward into a valid alternate
-    decomposition: coefficient splits, and radix splits using
+    """Split the canonical digits `rep` of some n downward into a valid
+    alternate decomposition of n: coefficient splits, and radix splits using
     g_v = g_{v-1} + (d_v - 1) g_{v-1}."""
-    terms = [[j, x] for j, x in seq.represent(n).items()]
+    terms = [[j, x] for j, x in rep.items()]
     for _ in range(rng.randrange(max_steps + 1)):
         k = rng.randrange(len(terms))
         v, y = terms[k]
@@ -360,8 +357,9 @@ def check_lemma2(seq, samples: int = 10_000, n_bound: int = 10 ** 9,
     rng = rng or random.Random(1)
     for _ in range(samples):
         n = rng.randrange(1, n_bound)
-        alt = random_alternate_decomposition(seq, n, rng)
-        report = check_prefix_inequality(seq, seq.represent(n), alt)
+        rep = seq.represent(n)
+        alt = random_alternate_decomposition(seq, rep, rng)
+        report = check_prefix_inequality(seq, rep, alt)
         if not report.all_hold:
             return False, f"n={n}, alt={alt}: inequality fails at some cutoff"
     return True, None

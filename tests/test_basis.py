@@ -11,6 +11,23 @@ def members_by_classify(spec: BasisSpec, N: int) -> list[int]:
     return [n for n in range(1, N + 1) if spec.classify(n) is not None]
 
 
+def classify_oracle(spec: BasisSpec, n: int) -> int | None:
+    """Per-digit reference for `classify`: one divmod by quotient(j + 1) per
+    digit, stopping at the first digit of a second color."""
+    c = None
+    j = 0
+    while n > 0:
+        n, x = divmod(n, spec.seq.quotient(j + 1))
+        if x:
+            cj = spec.partition.color(j)
+            if c is None:
+                c = cj
+            elif cj != c:
+                return None
+        j += 1
+    return c
+
+
 def assert_matches_oracle(spec: BasisSpec, N: int):
     w = spec.enumerate(N)
     oracle = members_by_classify(spec, N)
@@ -35,11 +52,13 @@ class TestClassify:
         assert binary_pairs.classify(1) is not None
         assert mixed23_pairs.classify(1) is not None
 
+    def test_negative_rejected(self, binary_pairs):
+        with pytest.raises(DomainError, match=r"^classify expects n >= 0, got -1$"):
+            binary_pairs.classify(-1)
+
     def test_agrees_with_rep_variant(self, mixed23_pairs):
-        seq = mixed23_pairs.seq
         for n in range(500):
-            assert mixed23_pairs.classify(n) == \
-                mixed23_pairs.classify_rep(seq.represent(n))
+            assert mixed23_pairs.classify(n) == classify_oracle(mixed23_pairs, n)
 
 
 class TestEnumerate:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,7 +246,10 @@ def scale_oracle(seq: GadicSequence, i: int) -> int:
     return math.prod(seq.quotient(k) for k in range(1, i + 1))
 
 
-quotients = st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=4)
+# Covers period products above the 2^8 block bound, quotients at it and
+# lone quotients above it, in both prefix and period.
+quotients = st.lists(st.sampled_from([2, 3, 5, 7, 255, 256, 257, 1000, 2**20 + 7]),
+                     min_size=1, max_size=4)
 sequence_params = st.tuples(quotients, quotients)   # (prefix, period)
 big_ints = st.one_of(st.integers(1, 10 ** 6), st.integers(1, 1 << 4096))
 
@@ -262,6 +266,7 @@ class TestDigitLayerOracles:
         seq = fresh(params)
         rep = seq.represent(n)
         assert rep.digits == represent_oracle(seq, n)
+        assert list(rep.digits) == sorted(rep.digits)   # ascending insertion
         assert seq.evaluate(rep) == evaluate_oracle(seq, rep.digits) == n
 
     @given(params=sequence_params, n=big_ints)
@@ -292,6 +297,8 @@ class TestDigitLayerOracles:
         warm_past.value(M + 7)
         warmed_larger = fresh(params)
         warmed_larger.leading_index(n + extra)
+        assert warmed_larger.represent(n + extra).digits == \
+            represent_oracle(cold, n + extra)   # digit tables now warm
         rep = represent_oracle(cold, n)
         for seq in (cold, warm_past, warmed_larger):
             assert seq.leading_index(n) == M
@@ -311,6 +318,22 @@ class TestDigitLayerOracles:
             assert str(info.value) == str(exc)
         else:
             assert fresh(params).evaluate(DigitRep(digits)) == expected
+
+
+def test_represent_tabulates_no_large_quotient():
+    """A quotient above the block bound is read directly: converting a
+    4096-bit n with a 2^20-sized period quotient allocates no table."""
+    n = random.Random(5).getrandbits(4096) | (1 << 4095)
+    oracle = represent_oracle(GadicSequence(prefix=[3], period=[2**20 + 7]), n)
+    seq = GadicSequence(prefix=[3], period=[2**20 + 7])
+    tracemalloc.start()
+    try:
+        digits = seq.represent(n).digits
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digits == oracle
+    assert peak < 1 << 20
 
 
 def test_digit_loops_make_no_quotient_calls(monkeypatch):

@@ -66,7 +66,8 @@ class TestDetectIntervalFamilies:
     def test_alternating_has_no_windows(self):
         part = PartitionSpec(h=2, period_colors=[0, 1])
         fam = detect_interval_families(part, 2)
-        assert fam.is_empty(0) and fam.is_empty(1)
+        assert fam.residues == [set(), set()]
+        assert fam.prefix_members == [[], []]
 
     def test_runs_of_three(self):
         part = PartitionSpec(h=2, period_colors=[0, 0, 0, 1, 1, 1])

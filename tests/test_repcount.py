@@ -312,8 +312,8 @@ class TestPrefixInequality:
         rng = random.Random(11)
         for _ in range(300):
             n = rng.randrange(1, 10 ** 12)
-            alt = random_alternate_decomposition(seq, n, rng, max_steps=30)
             canonical = seq.represent(n)
+            alt = random_alternate_decomposition(seq, canonical, rng, max_steps=30)
             report = check_prefix_inequality(seq, canonical, alt)
             support = canonical.support
             lhs = [sum(canonical.digit(u) * seq.value(u) for u in support[:k + 1])
@@ -328,9 +328,9 @@ class TestPrefixInequality:
         rng = random.Random(7)
         for _ in range(2000):
             n = rng.randrange(1, 10 ** 8)
-            alt = random_alternate_decomposition(mixed23, n, rng)
-            assert check_prefix_inequality(mixed23, mixed23.represent(n),
-                                           alt).all_hold
+            rep = mixed23.represent(n)
+            alt = random_alternate_decomposition(mixed23, rep, rng)
+            assert check_prefix_inequality(mixed23, rep, alt).all_hold
 
 
 class TestSumsetGaps:
