@@ -10,7 +10,7 @@ from .partition import (HypothesisViolatedError, IntervalFamilies,
 from .basis import BasisSpec, MemberWindow, WindowTooLargeError
 from .repcount import (RepCountResult, check_prefix_inequality,
                        count_reps_bruteforce, count_reps_digitdp,
-                       hfold_sumset_window, mask_to_set)
+                       hfold_sumset_window)
 from .verifier import (BasisReport, MinimalityBatch, WitnessCertificate,
                        check_lemma1, check_lemma2, construct_witness,
                        cross_check_witness, removability_scan,
@@ -26,7 +26,7 @@ __all__ = [
     "WitnessCertificate", "check_lemma1", "check_lemma2",
     "check_prefix_inequality", "construct_witness", "count_reps_bruteforce",
     "count_reps_digitdp", "cross_check_witness", "detect_interval_families",
-    "hfold_sumset_window", "load_preset", "mask_to_set", "min_t",
+    "hfold_sumset_window", "load_preset", "min_t",
     "removability_scan", "verify_minimality", "verify_theorem1",
     "verify_theorem2", "verify_witness",
 ]

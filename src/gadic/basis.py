@@ -45,7 +45,7 @@ class BasisSpec:
         colors = {color(j) for j in self.seq.represent(n).digits}
         return colors.pop() if len(colors) == 1 else None
 
-    def enumerate(self, N: int, limit: int = DEFAULT_WINDOW_LIMIT) -> "MemberWindow":
+    def enumerate(self, N: int) -> "MemberWindow":
         """All members in [1, N], as a sorted list plus a bit array.
 
         Members are generated from their digit supports rather than found by
@@ -56,8 +56,9 @@ class BasisSpec:
         """
         if N < 1:
             raise DomainError(f"window bound must be >= 1, got {N}")
-        if N > limit:
-            raise WindowTooLargeError(f"window bound {N} exceeds limit {limit}")
+        if N > DEFAULT_WINDOW_LIMIT:
+            raise WindowTooLargeError(
+                f"window bound {N} exceeds limit {DEFAULT_WINDOW_LIMIT}")
         seq, color = self.seq, self.partition.color
         # supports[i]: the values <= N (0 included) whose digits sit on class-i
         # indices below j.  All are < g_j, so the blocks x*g_j + v appended
@@ -96,14 +97,3 @@ class MemberWindow:
 
     def __post_init__(self):
         self.member_set = frozenset(self.members)
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.member_set
-
-    def to_text(self) -> str:
-        return "\n".join(str(m) for m in self.members) + "\n"
-
-    def to_bitdump(self) -> bytes:
-        """Raw little-endian bit dump, N+1 bits (bit n = byte n//8, bit n%8)."""
-        return self.mask.to_bytes((self.N + 8) // 8, "little")
-

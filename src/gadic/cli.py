@@ -7,14 +7,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from .core import DomainError
 from .basis import WindowTooLargeError
 from .partition import HypothesisViolatedError, detect_interval_families, min_t
 from .config import ConfigError, PRESETS, RunConfig, load_preset
-from .repcount import count_reps_digitdp, hfold_sumset_window, sumset_gaps
 from .verifier import (check_lemma1, check_lemma2, removability_scan,
                        verify_minimality, verify_theorem1, verify_theorem2)
 
@@ -58,9 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sweep-t", type=str,
                     help="comma-separated t values to sweep minimality over")
 
-    sp = sub.add_parser("bench", parents=[common], help="timing of the main kernels")
-    sp.add_argument("--window", type=int)
-
     return p
 
 
@@ -83,7 +78,7 @@ def cmd_represent(cfg: RunConfig, args) -> int:
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
-    N = args.window or cfg.window
+    N = args.window if args.window is not None else cfg.window
     if args.which == "theorem1":
         report = verify_theorem1(cfg.basis, N)
         print(f"theorem1 window [0,{N}]: gaps {report.gaps[:10]} "
@@ -98,10 +93,9 @@ def cmd_check(cfg: RunConfig, args) -> int:
         print(f"theorem2 after removing 0: gaps {without.gaps[:10]} "
               f"-> {'pass' if without.passed else 'FAIL'}")
         return EXIT_OK if ok else EXIT_FAIL
-    if args.which == "lemma1":
-        passed, counterexample = check_lemma1(cfg.seq, samples=args.samples or 100_000)
-    else:
-        passed, counterexample = check_lemma2(cfg.seq, samples=args.samples or 10_000)
+    check = check_lemma1 if args.which == "lemma1" else check_lemma2
+    kwargs = {} if args.samples is None else {"samples": args.samples}
+    passed, counterexample = check(cfg.seq, **kwargs)
     if passed:
         print(f"{args.which}: pass")
         return EXIT_OK
@@ -134,7 +128,7 @@ def cmd_minimality(cfg: RunConfig, args) -> int:
 
 
 def cmd_explore(cfg: RunConfig, args) -> int:
-    N = args.window or cfg.window
+    N = args.window if args.window is not None else cfg.window
     if args.sweep_t:
         code = EXIT_OK
         for t in (int(x) for x in args.sweep_t.split(",")):
@@ -163,33 +157,6 @@ def cmd_explore(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig, args) -> int:
-    N = args.window or cfg.window
-    spec = cfg.basis
-    t0 = time.perf_counter()
-    window = spec.enumerate(N)
-    t1 = time.perf_counter()
-    s = hfold_sumset_window(window.mask, N, spec.h)
-    t2 = time.perf_counter()
-    gaps = sumset_gaps(s, N)
-    t3 = time.perf_counter()
-    big = (1 << 8192) - 12345
-    cfg.seq.represent(big)
-    M = cfg.seq.leading_index(big)
-    t4 = time.perf_counter()
-    rep = cfg.seq.represent((1 << 256) + 12345)
-    dp = count_reps_digitdp(spec, rep, spec.h)
-    t5 = time.perf_counter()
-    print(f"enumerate [1,{N}]: {len(window.members)} members, {t1 - t0:.3f}s")
-    print(f"{spec.h}-fold sumset over [0,{N}]: {t2 - t1:.3f}s")
-    print(f"gap extraction over [0,{N}]: {len(gaps)} gaps, {t3 - t2:.3f}s")
-    print(f"represent + leading_index on an 8192-bit integer: {M + 1} digits, "
-          f"{t4 - t3:.3f}s")
-    print(f"digit DP on a 256-bit integer: {dp.peak_states} peak states, "
-          f"{t5 - t4:.3f}s")
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -200,7 +167,6 @@ def main(argv: list[str] | None = None) -> int:
             "check": cmd_check,
             "minimality": cmd_minimality,
             "explore": cmd_explore,
-            "bench": cmd_bench,
         }[args.command]
         return handler(cfg, args)
     except (ConfigError, DomainError, ValueError) as exc:

@@ -164,11 +164,6 @@ class DigitRep:
                 if x < 1:
                     raise ValueError(f"stored digit must be positive, got {x} at {j}")
 
-    @property
-    def support(self) -> list[int]:
-        """Sorted nonzero-digit positions."""
-        return sorted(self.digits)
-
     def items(self) -> Iterator[tuple[int, int]]:
         """(index, digit) pairs in increasing index order."""
         return iter(sorted(self.digits.items()))
@@ -197,9 +192,6 @@ class DigitRep:
             j, x = pair.split(":")
             digits[int(j)] = int(x)
         return cls(digits)
-
-    def __len__(self) -> int:
-        return len(self.digits)
 
 
 def _cut_runs(quots: list[int]) -> list[_Run]:

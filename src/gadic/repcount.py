@@ -97,10 +97,6 @@ def sumset_gaps(sumset: int, N: int) -> list[int]:
     return _low_bits(~sumset & ((1 << (N + 1)) - 1))
 
 
-def mask_to_set(mask: int) -> set[int]:
-    return set(_low_bits(mask))
-
-
 def _low_bits(mask: int) -> list[int]:
     """Positions of the set bits of mask >= 0, ascending."""
     out = []

@@ -26,9 +26,6 @@ from .repcount import count_reps_bruteforce, count_reps_digitdp, \
 class BasisReport:
     """Outcome of one window sumset check."""
 
-    spec_text: str
-    N: int
-    h: int
     gaps: list[int]          # values in [0, N] missing from the h-fold sumset
     passed: bool
     elapsed: float
@@ -46,13 +43,11 @@ class WitnessCertificate:
     summands: dict[int, DigitRep]       # class index -> digit map, removed_class included
     n_rep: DigitRep
     n_value: int
+    multiset: list[int]                 # sorted summand values
     expected_count: int | None = None
     measured_count: int | None = None
     verdict: str = "unverified"
     engine: str = f"gadic {__version__}"
-
-    def multiset(self, spec: BasisSpec) -> list[int]:
-        return sorted(spec.seq.evaluate(rep) for rep in self.summands.values())
 
     def filename(self) -> str:
         ms = "-".join(str(self.chosen_Ms[i]) for i in sorted(self.chosen_Ms))
@@ -98,8 +93,7 @@ def verify_theorem1(spec: BasisSpec, N: int,
         window = spec.enumerate(N)
     s = hfold_sumset_window(window.mask, N, spec.h)
     gaps = sumset_gaps(s, N)
-    return BasisReport(spec_text=spec.serialize(), N=N, h=spec.h, gaps=gaps,
-                       passed=(gaps == list(range(spec.h))),
+    return BasisReport(gaps=gaps, passed=(gaps == list(range(spec.h))),
                        elapsed=time.perf_counter() - t0)
 
 
@@ -115,8 +109,7 @@ def verify_theorem2(spec: BasisSpec, N: int,
         window = spec.enumerate(N)
     s = hfold_sumset_window(window.mask | 1, N, spec.h)
     gaps = sumset_gaps(s, N)
-    with_zero = BasisReport(spec_text=spec.serialize(), N=N, h=spec.h,
-                            gaps=gaps, passed=(gaps == []),
+    with_zero = BasisReport(gaps=gaps, passed=(gaps == []),
                             elapsed=time.perf_counter() - t0)
     return with_zero, verify_theorem1(spec, N, window)
 
@@ -178,14 +171,15 @@ def construct_witness(spec: BasisSpec, t: int, a: int,
             merged[j] = x
     n_rep = DigitRep(merged)
     n_value = seq.evaluate(n_rep)
-    if n_value != sum(seq.evaluate(rep) for rep in summands.values()):
+    values = sorted(seq.evaluate(rep) for rep in summands.values())
+    if n_value != sum(values):
         raise RuntimeError(f"witness construction bug: digits of n={n_value} "
                            "do not sum the summands")
 
     return WitnessCertificate(spec_hash=spec_hash(spec, t), t=t, removed=a,
                               removed_rep=rep_a, removed_class=i0, M0=M0,
                               chosen_Ms=chosen, summands=summands,
-                              n_rep=n_rep, n_value=n_value)
+                              n_rep=n_rep, n_value=n_value, multiset=values)
 
 
 def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertificate:
@@ -197,7 +191,7 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     the removed element is in the multiset, n has no representation over the
     set with a removed.
     """
-    values = cert.multiset(spec)
+    values = cert.multiset
     mults: dict[int, int] = {}
     for v in values:
         mults[v] = mults.get(v, 0) + 1
@@ -226,7 +220,7 @@ def cross_check_witness(spec: BasisSpec, cert: WitnessCertificate,
     if n > window.N:
         raise DomainError(f"witness {n} exceeds window [0, {window.N}]")
     res = count_reps_bruteforce(window, n, spec.h)
-    expected_tuples = sorted(set(itertools.permutations(cert.multiset(spec))))
+    expected_tuples = sorted(set(itertools.permutations(cert.multiset)))
     if res.enumeration is None or sorted(res.enumeration) != expected_tuples:
         return False
     reduced = MemberWindow(N=window.N,
@@ -237,10 +231,6 @@ def cross_check_witness(spec: BasisSpec, cert: WitnessCertificate,
 
 @dataclass
 class MinimalityBatch:
-    spec_text: str
-    t: int
-    K: int
-    W: int
     theorem1: BasisReport
     certificates: list[WitnessCertificate] = field(default_factory=list)
 
@@ -251,8 +241,7 @@ class MinimalityBatch:
 
 
 def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
-                      override: bool = False,
-                      precheck_window: int = 2000) -> MinimalityBatch:
+                      override: bool = False) -> MinimalityBatch:
     """Certify the first K members with W witnesses each.
 
     The W witnesses per member use the W smallest admissible endpoint
@@ -261,13 +250,15 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     """
     h = spec.h
     _check_t(t, h, override)
+    if K < 1 or W < 1:
+        raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
     fams = detect_interval_families(spec.partition, t)
     for i in range(h):
         if not fams.is_infinite(i):
             raise HypothesisViolatedError(
                 f"class {i} has no periodic t-window (empty interval family)")
 
-    report1 = verify_theorem1(spec, precheck_window)
+    report1 = verify_theorem1(spec, 2000)
 
     N = 64
     while True:
@@ -277,8 +268,7 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
         N *= 4
     members = window.members[:K]
 
-    batch = MinimalityBatch(spec_text=spec.serialize(), t=t, K=K, W=W,
-                            theorem1=report1)
+    batch = MinimalityBatch(theorem1=report1)
     for a in members:
         i0 = spec.classify(a)
         M0 = spec.seq.leading_index(a)
@@ -292,15 +282,17 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     return batch
 
 
-def check_lemma1(seq, samples: int = 100_000, max_converse_index: int = 12,
+def check_lemma1(seq, samples: int = 100_000,
                  rng=None) -> tuple[bool, str | None]:
     """Leading-index bound suite: g_M <= n < g_{M+1} with M the top support
     index, over a deterministic small range plus random 256-bit integers,
-    and the converse per index up to max_converse_index.
+    and the converse per index up to 12.
 
     Returns (passed, first counterexample description or None).
     """
     import random
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples}")
     rng = rng or random.Random(0)
     small = min(samples // 2, 50_000)
     ns = list(range(1, small + 1))
@@ -312,7 +304,7 @@ def check_lemma1(seq, samples: int = 100_000, max_converse_index: int = 12,
         rep = seq.represent(n)
         if rep.max_index() != M:
             return False, f"n={n}: leading_index={M} != max support {rep.max_index()}"
-    for M in range(max_converse_index + 1):
+    for M in range(13):
         lo, hi = seq.value(M), seq.value(M + 1)
         if hi - lo <= 200:
             candidates = range(lo, hi)
@@ -349,14 +341,17 @@ def random_alternate_decomposition(seq, rep: DigitRep, rng,
     return [(v, y) for v, y in terms]
 
 
-def check_lemma2(seq, samples: int = 10_000, n_bound: int = 10 ** 9,
+def check_lemma2(seq, samples: int = 10_000,
                  rng=None) -> tuple[bool, str | None]:
-    """Prefix-inequality suite over randomly split decompositions."""
+    """Prefix-inequality suite over randomly split decompositions of
+    random n below 10^9."""
     import random
     from .repcount import check_prefix_inequality
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples}")
     rng = rng or random.Random(1)
     for _ in range(samples):
-        n = rng.randrange(1, n_bound)
+        n = rng.randrange(1, 10 ** 9)
         rep = seq.represent(n)
         alt = random_alternate_decomposition(seq, rep, rng)
         report = check_prefix_inequality(seq, rep, alt)

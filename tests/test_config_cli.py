@@ -1,8 +1,13 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 import gadic.verifier
 from gadic import ConfigError, PRESETS, RepCountResult, RunConfig, load_preset
-from gadic.cli import main
+from gadic.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -69,6 +74,20 @@ class TestCheckCommand:
         assert main(["check", "lemma1", "--samples", "2000"]) == 0
         assert main(["check", "lemma2", "--samples", "500"]) == 0
 
+    @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
+    def test_zero_window_exits_2(self, which, capsys):
+        # an explicit 0 is not replaced by the configured window
+        assert main(["check", which, "--window", "0"]) == 2
+        assert "pass" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("which", ["lemma1", "lemma2"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exit_2(self, which, samples, capsys):
+        assert main(["check", which, "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need samples >= 1, got {samples}\n"
+
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("sequence = prefix=[];period=[2]\n"
@@ -91,6 +110,20 @@ class TestMinimalityCommand:
     def test_t_below_threshold_exits_3(self):
         assert main(["minimality", "--t", "1"]) == 3
 
+    @pytest.mark.parametrize("flags", [["--budget", "-1", "--witnesses", "1"],
+                                       ["--budget", "0"], ["--witnesses", "0"]])
+    def test_nonpositive_budget_exits_2(self, flags, capsys):
+        # a negative K used to slice members from the end and pass
+        assert main(["minimality", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "certified" not in captured.out
+        assert captured.err.startswith("error: need K >= 1 and W >= 1")
+
+    def test_nonpositive_budget_in_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(PRESETS["binary-h2"].replace("budget = 20", "budget = -1"))
+        assert main(["minimality", "--config", str(cfg)]) == 2
+
     def test_mixed23_preset(self):
         assert main(["minimality", "--preset", "mixed23-h2",
                      "--budget", "3", "--witnesses", "1"]) == 0
@@ -104,6 +137,9 @@ class TestMinimalityCommand:
 
 
 class TestExploreCommand:
+    def test_zero_window_exits_2(self):
+        assert main(["explore", "--window", "0"]) == 2
+
     def test_removability(self, capsys):
         assert main(["explore", "--window", "300", "--elem-bound", "2"]) == 0
         out = capsys.readouterr().out
@@ -122,13 +158,27 @@ class TestExploreCommand:
         assert "t=2: certification failed" in out
 
 
-def test_bench_runs(capsys):
-    assert main(["bench", "--window", "500"]) == 0
-    out = capsys.readouterr().out
-    assert "sumset" in out
-    assert "gap extraction over [0,500]: 2 gaps" in out
-    assert "represent + leading_index on an 8192-bit integer: 8192 digits" in out
-    assert "digit DP on a 256-bit integer: 2 peak states" in out
+def test_bench_command_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def readme_cli_lines() -> list[str]:
+    """The `gadic ...` lines of the README's CLI code block."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("gadic ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = readme_cli_lines()
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert parser.parse_args(argv[1:]).command == argv[1], line
 
 
 def test_determinism(capsys):

@@ -128,7 +128,7 @@ class TestDigitRepValidation:
             DigitRep({7: 0, 2: -1, 0: 1})
 
     def test_valid_digits_accepted(self):
-        assert DigitRep({4: 1, 0: 3}).support == [0, 4]
+        assert DigitRep({4: 1, 0: 3}).digits == {0: 3, 4: 1}
 
 
 class TestUniqueness:

@@ -126,7 +126,7 @@ class TestVerifyWitness:
                          partition=PartitionSpec(
                              h=3, period_colors=[0, 0, 0, 1, 1, 1, 2, 2, 2]))
         cert = verify_witness(spec, construct_witness(spec, 3, 1))
-        values = cert.multiset(spec)
+        values = cert.multiset
         assert len(set(values)) == 3
         assert cert.expected_count == math.factorial(3)
         assert cert.verdict == "certified"
@@ -155,6 +155,12 @@ class TestMinimalityBatch:
     def test_t_guard(self, binary_pairs):
         with pytest.raises(HypothesisViolatedError):
             verify_minimality(binary_pairs, t=1, K=1, W=1)
+
+    @pytest.mark.parametrize("K,W", [(0, 1), (-1, 1), (1, 0)])
+    def test_nonpositive_budget_rejected(self, binary_pairs, K, W):
+        # a negative K would otherwise slice members from the end
+        with pytest.raises(DomainError, match=r"^need K >= 1 and W >= 1"):
+            verify_minimality(binary_pairs, t=2, K=K, W=W)
 
 
 class TestThresholdGuard:
