@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .core import DomainError, GadicSequence
+from .core import DigitRep, DomainError, GadicSequence
 from .partition import PartitionSpec
 
 # Window bit arrays are plain ints (bit n set <=> n in the set); this caps
@@ -39,11 +39,24 @@ class BasisSpec:
         n is a member of class i iff its support is nonempty and entirely
         colored i; 0 (empty support) is never a member.
         """
+        return self._rep_and_class(n)[1]
+
+    def _rep_and_class(self, n: int) -> tuple[DigitRep, int | None]:
+        """The digits of n >= 0 and its class (None for a non-member)."""
         if n < 0:
             raise DomainError(f"classify expects n >= 0, got {n}")
-        color = self.partition.color
-        colors = {color(j) for j in self.seq.represent(n).digits}
-        return colors.pop() if len(colors) == 1 else None
+        rep = self.seq.represent(n)
+        colors = {self.partition.color(j) for j in rep.digits}
+        return rep, (colors.pop() if len(colors) == 1 else None)
+
+    def _positions(self, length: int) -> tuple[list[int], list[int]]:
+        """d_{j+1} and the class of index j for j < length, unrolled from the
+        prefixes and periods (the scale table is not touched)."""
+        def unroll(prefix: list[int], period: list[int]) -> list[int]:
+            return (prefix + period * (length // len(period) + 1))[:length]
+        return (unroll(self.seq.prefix, self.seq.period),
+                unroll(self.partition.prefix_colors,
+                       self.partition.period_colors))
 
     def enumerate(self, N: int) -> "MemberWindow":
         """All members in [1, N], as a sorted list plus a bit array.

@@ -103,7 +103,7 @@ class GadicSequence:
                 for o, x in rows[r]:
                     digits[j + o] = x
             j += width
-        return DigitRep(digits)
+        return DigitRep._trusted(digits)
 
     def evaluate(self, rep: "DigitRep") -> int:
         """Exact sum of x_j * g_j; validates digit ranges against this sequence."""
@@ -163,6 +163,13 @@ class DigitRep:
                     raise ValueError(f"negative digit index {j}")
                 if x < 1:
                     raise ValueError(f"stored digit must be positive, got {x} at {j}")
+
+    @classmethod
+    def _trusted(cls, digits: dict[int, int]) -> "DigitRep":
+        """A rep of digits valid by construction, left unchecked."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "digits", digits)
+        return rep
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(index, digit) pairs in increasing index order."""

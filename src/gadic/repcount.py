@@ -8,6 +8,7 @@ arbitrarily large n).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -149,6 +150,43 @@ def _transitions(d: int, c: int, statuses: tuple[int, ...]
     return tuple(out)
 
 
+# Interned live-state sets, shared by all threads and configurations: _SETS[i]
+# is a sorted tuple of (carry, sorted statuses) keys; _SET_IDS maps it to i.
+_SETS: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
+_SET_IDS: dict[tuple, int] = {}
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(states: tuple) -> int:
+    with _INTERN_LOCK:
+        if states not in _SET_IDS:
+            _SET_IDS[states] = len(_SETS)
+            _SETS.append(states)
+        return _SET_IDS[states]
+
+
+# No size limit, like _transitions: per configuration the keys are its
+# reachable live sets times its (quotient, class, digit) triples.
+@lru_cache(maxsize=None)
+def _advance(set_id: int, d: int, c: int, r: int, h: int
+             ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """One DP step from live set `set_id` at a (quotient d, class c)
+    position where n has digit r: the next set id and the (source index,
+    target index, multiplicity) edges that carry the ways between them."""
+    moves = []
+    for s, (carry, statuses) in enumerate(_SETS[set_id]):
+        for sts, tot, mult in _transitions(d, c, statuses):
+            carry_out, rem = divmod(tot + carry, d)
+            if rem == r:
+                if carry_out > h:
+                    raise RuntimeError("counting engine bug: carry "
+                                       f"{carry_out} exceeds h={h}")
+                moves.append((s, (carry_out, sts), mult))
+    states = tuple(sorted({key for _, key, _ in moves}))
+    index = {key: t for t, key in enumerate(states)}
+    return _intern(states), tuple((s, index[key], m) for s, key, m in moves)
+
+
 def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
                        zero_allowed: bool = False) -> RepCountResult:
     """Exact ordered representation count via a carry/commitment DP.
@@ -163,53 +201,38 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
     """
     if h < 2:
         raise DomainError(f"need h >= 2, got {h}")
-    seq, part = spec.seq, spec.partition
-
-    states: dict[tuple[int, tuple[int, ...]], int] = {(0, (EMPTY,) * h): 1}
-    peak = 1
     top = n.max_index() if not n.is_zero() else -1
-    j = 0
-    while states:
-        if j > top and all(carry == 0 for carry, _ in states):
+    quots, colors = spec._positions(top + 1)
+    digit = n.digits.get
+    set_id, ways, peak = _intern(((0, (EMPTY,) * h),)), [1], 1
+    for j in range(top + 1):
+        set_id, edges = _advance(set_id, quots[j], colors[j], digit(j, 0), h)
+        ways, prev = [0] * len(_SETS[set_id]), ways
+        for s, t, mult in edges:
+            ways[t] += prev[s] * mult
+        if len(ways) > peak:
+            peak = len(ways)
+        elif not ways:
             break
-        d = seq.quotient(j + 1)
-        r = n.digit(j)
-        if j <= top:
-            c = part.color(j)
-            new_states: dict[tuple[int, tuple[int, ...]], int] = {}
-            for (carry, statuses), ways in states.items():
-                for sts, tot, mult in _transitions(d, c, statuses):
-                    total = tot + carry
-                    if total % d != r:
-                        continue
-                    carry_out = total // d
-                    if carry_out > h:
-                        raise RuntimeError("counting engine bug: carry "
-                                           f"{carry_out} exceeds h={h}")
-                    key = (carry_out, sts)
-                    new_states[key] = new_states.get(key, 0) + ways * mult
-            states = new_states
-        else:
-            # past the top support index every summand digit is 0
-            # (a summand larger than n cannot occur); only carries propagate
-            new_states = {}
-            for (carry, statuses), ways in states.items():
-                if carry % d != 0:
-                    continue
+
+    # past the top support index every summand digit is 0 (a summand
+    # larger than n cannot occur); only carries propagate
+    states = dict(zip(_SETS[set_id], ways))
+    j = top + 1
+    while any(carry for carry, _ in states):
+        d = spec.seq.quotient(j + 1)
+        new_states: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (carry, statuses), w in states.items():
+            if carry % d == 0:
                 key = (carry // d, statuses)
-                new_states[key] = new_states.get(key, 0) + ways
-            states = new_states
+                new_states[key] = new_states.get(key, 0) + w
+        states = new_states
         peak = max(peak, len(states))
         j += 1
 
-    count = 0
-    for (carry, statuses), ways in states.items():
-        if carry != 0:
-            continue
-        if zero_allowed or all(st != EMPTY for st in statuses):
-            count += ways
-    return RepCountResult(ordered_count=count, zero_allowed=zero_allowed,
-                          enumeration=None, peak_states=peak)
+    count = sum(w for (carry, statuses), w in states.items()
+                if carry == 0 and (zero_allowed or EMPTY not in statuses))
+    return RepCountResult(count, zero_allowed, peak_states=peak)
 
 
 @dataclass

@@ -135,15 +135,16 @@ def construct_witness(spec: BasisSpec, t: int, a: int,
     """
     h = spec.h
     _check_t(t, h, override)
-    i0 = spec.classify(a)
+    rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
     if fams is None:
         fams = detect_interval_families(spec.partition, t)
-    rep_a = spec.seq.represent(a)
     M0 = rep_a.max_index()
 
-    seq, part = spec.seq, spec.partition
+    maximal: list[dict[int, int]] = [{} for _ in range(h)]  # digits below M0
+    for j, (d, c) in enumerate(zip(*spec._positions(M0))):
+        maximal[c][j] = d - 1
     chosen: dict[int, int] = {}
     summands: dict[int, DigitRep] = {i0: rep_a}
     for i in range(h):
@@ -157,10 +158,8 @@ def construct_witness(spec: BasisSpec, t: int, a: int,
         else:
             Mi = fams.nth_member(i, M0 + t)
         chosen[i] = Mi
-        digits = {j: seq.quotient(j + 1) - 1
-                  for j in range(M0) if part.color(j) == i}
-        digits[Mi] = 1
-        summands[i] = DigitRep(digits)
+        maximal[i][Mi] = 1
+        summands[i] = DigitRep(maximal[i])
 
     merged: dict[int, int] = {}
     for rep in summands.values():
@@ -170,8 +169,8 @@ def construct_witness(spec: BasisSpec, t: int, a: int,
                                    f"supports overlap at index {j}")
             merged[j] = x
     n_rep = DigitRep(merged)
-    n_value = seq.evaluate(n_rep)
-    values = sorted(seq.evaluate(rep) for rep in summands.values())
+    n_value = spec.seq.evaluate(n_rep)
+    values = sorted(spec.seq.evaluate(rep) for rep in summands.values())
     if n_value != sum(values):
         raise RuntimeError(f"witness construction bug: digits of n={n_value} "
                            "do not sum the summands")
@@ -270,9 +269,8 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
 
     batch = MinimalityBatch(theorem1=report1)
     for a in members:
-        i0 = spec.classify(a)
-        M0 = spec.seq.leading_index(a)
-        gens = {i: fams.members_from(i, M0 + t)
+        rep, i0 = spec._rep_and_class(a)
+        gens = {i: fams.members_from(i, rep.max_index() + t)
                 for i in range(h) if i != i0}
         for _ in range(W):
             choices = {i: next(g) for i, g in gens.items()}

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from functools import lru_cache
 
 import pytest
@@ -9,6 +11,7 @@ from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    construct_witness, count_reps_bruteforce,
                    count_reps_digitdp, detect_interval_families,
                    hfold_sumset_window, load_preset, min_t)
+from gadic import cli, repcount
 from gadic.repcount import sumset_gaps
 from gadic.verifier import random_alternate_decomposition
 
@@ -248,6 +251,120 @@ class TestOrderedOracle:
         count, peak, _ = ordered_digitdp(spec, rep, spec.h)
         assert res.ordered_count == count > 0
         assert res.peak_states < peak
+
+
+class TestInternedSets:
+    """The memoized DP step: the carry check, cold and warm caches, threads
+    sharing the intern table, and the stop on an empty live set."""
+
+    @pytest.fixture(autouse=True)
+    def clear_dp_caches(self):
+        def clear():
+            repcount._advance.cache_clear()
+            repcount._transitions.cache_clear()
+        clear()
+        yield clear
+        clear()
+
+    def test_carry_bound_violation_raises(self, monkeypatch, capsys):
+        transitions = repcount._transitions
+
+        def broken(d, c, statuses):
+            # digit sums h digits below d cannot reach, one per residue mod d
+            h = len(statuses)
+            return transitions(d, c, statuses) + tuple(
+                (statuses, s, 1) for s in range(d * (h + 1), d * (h + 2)))
+
+        monkeypatch.setattr(repcount, "_transitions", broken)
+        spec = load_preset("binary-h2").basis
+        with pytest.raises(RuntimeError, match=r"^counting engine bug: "
+                           r"carry 3 exceeds h=2$"):
+            count_reps_digitdp(spec, spec.seq.represent(9), 2)
+        assert cli.main(["minimality", "--preset", "binary-h2",
+                         "--budget", "2", "--witnesses", "1"]) == 1
+        assert "counting engine bug: carry" in capsys.readouterr().err
+
+    def test_cold_and_warm_caches_agree(self, clear_dp_caches):
+        # both presets have h = 2, so they share set ids and memo entries
+        specs = [load_preset(name).basis
+                 for name in ("binary-h2", "mixed23-h2")]
+        rng = random.Random(5)
+        calls = [(spec, spec.seq.represent(n), zero_allowed)
+                 for _ in range(40) for spec in specs
+                 for n in (rng.randrange(1 << 40), dense_sum(spec, 0, 40, rng))
+                 for zero_allowed in (False, True)]
+
+        def run(spec, rep, zero_allowed):
+            res = count_reps_digitdp(spec, rep, 2, zero_allowed=zero_allowed)
+            return res.ordered_count, res.peak_states
+
+        cold = []
+        for call in calls:
+            clear_dp_caches()
+            cold.append(run(*call))
+        assert [run(*call) for call in calls] == cold
+        for (spec, rep, zero_allowed), (count, peak) in zip(calls[:16], cold):
+            oracle, _, multiset_peak = ordered_digitdp(spec, rep, 2,
+                                                       zero_allowed)
+            assert (count, peak) == (oracle, multiset_peak)
+
+    def test_threads_share_the_intern_table(self, clear_dp_caches):
+        specs = [load_preset(name).basis for name in sorted(PRESETS)]
+        rng = random.Random(9)
+        calls = [(spec, spec.seq.represent(n)) for spec in specs
+                 for c in range(spec.h)
+                 for n in (dense_sum(spec, c, 60, rng),
+                           rng.randrange(1 << 60))]
+        expected = [count_reps_digitdp(spec, rep, spec.h).ordered_count
+                    for spec, rep in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                # fresh ids, so the threads intern new sets concurrently
+                clear_dp_caches()
+                repcount._SETS.clear()
+                repcount._SET_IDS.clear()
+                results = [None] * len(calls)
+
+                def work(k):
+                    for i in range(k, len(calls), 4):
+                        spec, rep = calls[i]
+                        results[i] = count_reps_digitdp(spec, rep,
+                                                        spec.h).ordered_count
+
+                threads = [threading.Thread(target=work, args=(k,))
+                           for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == expected
+                assert repcount._SET_IDS == {
+                    states: i for i, states in enumerate(repcount._SETS)}
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_live_set_empties_before_the_top_digit(self, monkeypatch):
+        # pairs of h3-runs members: 201 has digits at 0, 3, 6, 7, in three
+        # classes, and no pair survives index 6
+        spec, n = load_preset("h3-runs").basis, 201
+        rep = spec.seq.represent(n)
+        advance, steps = repcount._advance, []
+
+        def counted(*key):
+            steps.append(key)
+            return advance(*key)
+
+        monkeypatch.setattr(repcount, "_advance", counted)
+        window = spec.enumerate(n)
+        for zero_allowed in (False, True):
+            steps.clear()
+            res = count_reps_digitdp(spec, rep, 2, zero_allowed=zero_allowed)
+            assert res.ordered_count == 0 == count_reps_bruteforce(
+                window, n, 2, zero_allowed=zero_allowed).ordered_count
+            assert len(steps) == 7 == rep.max_index()
 
 
 class TestHfoldSumset:
