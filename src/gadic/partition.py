@@ -98,11 +98,6 @@ class IntervalFamilies:
     def is_infinite(self, i: int) -> bool:
         return bool(self.residues[i])
 
-    def contains(self, i: int, M: int) -> bool:
-        if M >= self.threshold:
-            return M % self.modulus in self.residues[i]
-        return M in self.prefix_members[i]
-
     def nth_member(self, i: int, lower: int) -> int:
         """Smallest family member M of class i with M >= lower."""
         candidates = [M for M in self.prefix_members[i] if M >= lower]

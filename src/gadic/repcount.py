@@ -21,7 +21,6 @@ DEFAULT_ENUMERATION_CAP = 10_000
 @dataclass
 class RepCountResult:
     ordered_count: int
-    zero_allowed: bool
     enumeration: list[tuple[int, ...]] | None = None  # None when over cap
     peak_states: int | None = None  # digit DP: most live states at a position
 
@@ -68,8 +67,7 @@ def count_reps_bruteforce(window: MemberWindow, n: int, h: int,
             prefix.pop()
 
     rec(h, n)
-    return RepCountResult(ordered_count=count, zero_allowed=zero_allowed,
-                          enumeration=tuples)
+    return RepCountResult(ordered_count=count, enumeration=tuples)
 
 
 def hfold_sumset_window(mask: int, N: int, h: int) -> int:
@@ -196,7 +194,7 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
     position's class (a committed summand never changes class).  The count
     is symmetric under permuting the summands, so a state is (carry, sorted
     summand statuses) and its ways count every ordering; the carry never
-    exceeds h.  Accepts when the carry has run out and, unless
+    exceeds h.  Accepts carry 0 out of the top digit of n and, unless
     zero_allowed, every summand committed.
     """
     if h < 2:
@@ -215,24 +213,11 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
         elif not ways:
             break
 
-    # past the top support index every summand digit is 0 (a summand
-    # larger than n cannot occur); only carries propagate
-    states = dict(zip(_SETS[set_id], ways))
-    j = top + 1
-    while any(carry for carry, _ in states):
-        d = spec.seq.quotient(j + 1)
-        new_states: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (carry, statuses), w in states.items():
-            if carry % d == 0:
-                key = (carry // d, statuses)
-                new_states[key] = new_states.get(key, 0) + w
-        states = new_states
-        peak = max(peak, len(states))
-        j += 1
-
-    count = sum(w for (carry, statuses), w in states.items()
-                if carry == 0 and (zero_allowed or EMPTY not in statuses))
-    return RepCountResult(count, zero_allowed, peak_states=peak)
+    # every summand is <= n < g_{top+1}, so their digits above top are 0 and
+    # a nonzero carry out of the top digit would make the sum exceed n
+    count = sum(w for (carry, sts), w in zip(_SETS[set_id], ways)
+                if carry == 0 and (zero_allowed or EMPTY not in sts))
+    return RepCountResult(count, peak_states=peak)
 
 
 @dataclass

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .core import DigitRep, DomainError
 from .basis import BasisSpec, MemberWindow
-from .partition import HypothesisViolatedError, IntervalFamilies, \
-    detect_interval_families, min_t
+from .partition import HypothesisViolatedError, detect_interval_families, \
+    min_t
 from .repcount import count_reps_bruteforce, count_reps_digitdp, \
     hfold_sumset_window, sumset_gaps
 
@@ -121,64 +121,57 @@ def _check_t(t: int, h: int, override: bool) -> None:
             f"t={t} below threshold {min_t(h)} for h={h} (pass override to force)")
 
 
-def construct_witness(spec: BasisSpec, t: int, a: int,
-                      fams: IntervalFamilies | None = None,
-                      choices: dict[int, int] | None = None,
-                      override: bool = False) -> WitnessCertificate:
-    """Build the (unverified) witness for removing a.
+def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
+                      override: bool = False) -> list[WitnessCertificate]:
+    """Build the first W (unverified) witnesses for removing a.
 
-    For every class i other than a's class, pick the smallest admissible
-    window endpoint M_i >= M0 + t (or take it from `choices`) and form the
-    summand whose digits are maximal on class-i indices below M0 plus a
-    single 1 at M_i.  All supports are pairwise disjoint, so the witness
+    For every class i other than a's class, the summand's digits are maximal
+    on class-i indices below M0 plus a single 1 at an admissible window
+    endpoint M_i >= M0 + t.  The k-th witness takes the k-th smallest
+    endpoint of every class, shifted in lockstep across classes; distinct
+    endpoints give strictly larger witnesses, exhibiting infinitude on a
+    finite budget.  All supports are pairwise disjoint, so the witness
     digits are the plain union (no carries).
     """
     h = spec.h
     _check_t(t, h, override)
+    if W < 1:
+        raise DomainError(f"need W >= 1, got W={W}")
     rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
-    if fams is None:
-        fams = detect_interval_families(spec.partition, t)
+    fams = detect_interval_families(spec.partition, t)
     M0 = rep_a.max_index()
-
     maximal: list[dict[int, int]] = [{} for _ in range(h)]  # digits below M0
     for j, (d, c) in enumerate(zip(*spec._positions(M0))):
         maximal[c][j] = d - 1
-    chosen: dict[int, int] = {}
-    summands: dict[int, DigitRep] = {i0: rep_a}
-    for i in range(h):
-        if i == i0:
-            continue
-        if choices and i in choices:
-            Mi = choices[i]
-            if Mi < M0 + t or not fams.contains(i, Mi):
-                raise HypothesisViolatedError(
-                    f"chosen M={Mi} for class {i} is not an admissible endpoint")
-        else:
-            Mi = fams.nth_member(i, M0 + t)
-        chosen[i] = Mi
-        maximal[i][Mi] = 1
-        summands[i] = DigitRep(maximal[i])
+    gens = {i: fams.members_from(i, M0 + t) for i in range(h) if i != i0}
+    key = spec_hash(spec, t)
 
-    merged: dict[int, int] = {}
-    for rep in summands.values():
-        for j, x in rep.digits.items():
-            if j in merged:
-                raise RuntimeError("witness construction bug: summand "
-                                   f"supports overlap at index {j}")
-            merged[j] = x
-    n_rep = DigitRep(merged)
-    n_value = spec.seq.evaluate(n_rep)
-    values = sorted(spec.seq.evaluate(rep) for rep in summands.values())
-    if n_value != sum(values):
-        raise RuntimeError(f"witness construction bug: digits of n={n_value} "
-                           "do not sum the summands")
-
-    return WitnessCertificate(spec_hash=spec_hash(spec, t), t=t, removed=a,
-                              removed_rep=rep_a, removed_class=i0, M0=M0,
-                              chosen_Ms=chosen, summands=summands,
-                              n_rep=n_rep, n_value=n_value, multiset=values)
+    certs = []
+    for _ in range(W):
+        chosen = {i: next(g) for i, g in gens.items()}
+        summands = {i0: rep_a}
+        for i, Mi in chosen.items():
+            summands[i] = DigitRep({**maximal[i], Mi: 1})
+        merged: dict[int, int] = {}
+        for rep in summands.values():
+            for j, x in rep.digits.items():
+                if j in merged:
+                    raise RuntimeError("witness construction bug: summand "
+                                       f"supports overlap at index {j}")
+                merged[j] = x
+        n_rep = DigitRep(merged)
+        n_value = spec.seq.evaluate(n_rep)
+        values = sorted(spec.seq.evaluate(rep) for rep in summands.values())
+        if n_value != sum(values):
+            raise RuntimeError(f"witness construction bug: digits of n={n_value} "
+                               "do not sum the summands")
+        certs.append(WitnessCertificate(
+            spec_hash=key, t=t, removed=a, removed_rep=rep_a, removed_class=i0,
+            M0=M0, chosen_Ms=chosen, summands=summands, n_rep=n_rep,
+            n_value=n_value, multiset=values))
+    return certs
 
 
 def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertificate:
@@ -241,12 +234,8 @@ class MinimalityBatch:
 
 def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
                       override: bool = False) -> MinimalityBatch:
-    """Certify the first K members with W witnesses each.
-
-    The W witnesses per member use the W smallest admissible endpoint
-    choices, shifted in lockstep across classes; distinct choices give
-    strictly larger witnesses, exhibiting infinitude on a finite budget.
-    """
+    """Certify the first K members with W witnesses each (see
+    construct_witness for how the W witnesses of a member are chosen)."""
     h = spec.h
     _check_t(t, h, override)
     if K < 1 or W < 1:
@@ -269,14 +258,8 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
 
     batch = MinimalityBatch(theorem1=report1)
     for a in members:
-        rep, i0 = spec._rep_and_class(a)
-        gens = {i: fams.members_from(i, rep.max_index() + t)
-                for i in range(h) if i != i0}
-        for _ in range(W):
-            choices = {i: next(g) for i, g in gens.items()}
-            cert = construct_witness(spec, t, a, fams=fams, choices=choices,
-                                     override=override)
-            batch.certificates.append(verify_witness(spec, cert))
+        batch.certificates += [verify_witness(spec, c) for c in
+                               construct_witness(spec, t, a, W, override)]
     return batch
 
 

@@ -1,12 +1,13 @@
 """Acceptance suite: one test per exit criterion, exact assertions,
 one printed pass line each.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
+import hashlib
 import random
 import time
 
 import pytest
 
-from gadic import (BasisSpec, GadicSequence, PartitionSpec,
+from gadic import (PRESETS, BasisSpec, GadicSequence, PartitionSpec,
                    check_prefix_inequality, count_reps_bruteforce,
                    count_reps_digitdp, construct_witness, cross_check_witness,
                    load_preset, min_t, verify_minimality, verify_theorem1,
@@ -174,3 +175,23 @@ def test_criterion_9_mixed23_config():
     assert elapsed < 30
     _report(9, f"even-index scale values are powers of 6; 60/60 certified, "
                f"{elapsed:.1f}s")
+
+
+# sha256 of every certificate file name and text, in batch order, for the
+# preset's own t, budget and witnesses; pins the certificates byte for byte
+GOLDEN_CERTIFICATES = {
+    "binary-h2": "cb1cc0a15799dfc7",
+    "mixed23-h2": "c8fc91a79f82554a",
+    "h3-runs": "afca4223100e049f",
+    "h4-runs": "379761315c7696b2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_certificates_match_golden_digest(name):
+    cfg = load_preset(name)
+    batch = verify_minimality(cfg.basis, cfg.t, cfg.budget, cfg.witnesses)
+    text = "".join(c.filename() + "\n" + c.render(cfg.basis)
+                   for c in batch.certificates)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        GOLDEN_CERTIFICATES[name]

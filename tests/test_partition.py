@@ -82,13 +82,24 @@ class TestDetectIntervalFamilies:
         assert not fam.is_infinite(1)
 
     def test_every_reported_member_is_monochromatic(self, pairs_partition):
-        for t in (1, 2):
-            fam = detect_interval_families(pairs_partition, t)
-            for i in (0, 1):
-                for M in range(t - 1, 10_000):
-                    expected = all(pairs_partition.color(j) == i
-                                   for j in range(M - t + 1, M + 1))
-                    assert fam.contains(i, M) == expected
+        # members_from must list exactly the monochromatic window endpoints,
+        # both those touching the prefix and the periodic ones
+        prefixed = PartitionSpec(h=2, prefix_colors=[1, 1, 0, 1, 1, 1],
+                                 period_colors=[0, 0, 1, 1])
+        for part in (pairs_partition, prefixed):
+            for t in (1, 2, 3):
+                fam = detect_interval_families(part, t)
+                for i in (0, 1):
+                    expected = [M for M in range(t - 1, 10_000)
+                                if all(part.color(j) == i
+                                       for j in range(M - t + 1, M + 1))]
+                    gen = fam.members_from(i, t - 1)
+                    assert [next(gen) for _ in expected] == expected
+                    if fam.is_infinite(i):
+                        assert next(gen) >= 10_000
+                    else:
+                        with pytest.raises(HypothesisViolatedError):
+                            next(gen)
 
 
 class TestNthMember:

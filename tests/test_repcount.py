@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    GadicSequence, PartitionSpec, check_prefix_inequality,
                    construct_witness, count_reps_bruteforce,
-                   count_reps_digitdp, detect_interval_families,
-                   hfold_sumset_window, load_preset, min_t)
+                   count_reps_digitdp, hfold_sumset_window, load_preset,
+                   min_t)
 from gadic import cli, repcount
 from gadic.repcount import sumset_gaps
 from gadic.verifier import random_alternate_decomposition
@@ -220,18 +220,9 @@ class TestOrderedOracle:
     @given(spec=configurations(min_run=3), k=st.integers(0, 5),
            shift=st.integers(0, 3), zero_allowed=st.booleans())
     def test_constructed_witnesses(self, spec, k, shift, zero_allowed):
-        t = min_t(spec.h)
-        fams = detect_interval_families(spec.partition, t)
         members = spec.enumerate(2000).members
         a = members[min(k, len(members) - 1)]
-        M0 = spec.seq.leading_index(a)
-        choices = {}
-        for i in range(spec.h):
-            if i != spec.classify(a):
-                gen = fams.members_from(i, M0 + t)
-                for _ in range(shift + 1):
-                    choices[i] = next(gen)
-        cert = construct_witness(spec, t, a, fams=fams, choices=choices)
+        cert = construct_witness(spec, min_t(spec.h), a, W=shift + 1)[-1]
         self.check(spec, cert.n_value, zero_allowed)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -240,7 +231,7 @@ class TestOrderedOracle:
         spec, t = cfg.basis, cfg.t
         for a in spec.enumerate(200).members[:8]:
             for zero_allowed in (False, True):
-                self.check(spec, construct_witness(spec, t, a).n_value,
+                self.check(spec, construct_witness(spec, t, a)[0].n_value,
                            zero_allowed)
 
     def test_fewer_peak_states_on_a_dense_h4_sum(self):

@@ -62,20 +62,20 @@ class TestTheorem2:
 
 class TestConstructWitness:
     def test_a_equals_one(self, binary_pairs):
-        cert = construct_witness(binary_pairs, 2, 1)
+        cert = construct_witness(binary_pairs, 2, 1)[0]
         assert cert.M0 == 0
         assert cert.chosen_Ms == {1: 3}
         assert cert.n_value == 9
 
     def test_a_equals_three(self, binary_pairs):
-        cert = construct_witness(binary_pairs, 2, 3)
+        cert = construct_witness(binary_pairs, 2, 3)[0]
         assert cert.M0 == 1 and cert.chosen_Ms == {1: 3}
         assert cert.n_value == 11
 
     def test_a_in_other_class(self, binary_pairs):
         # a = 4 lives in class 1; the class-0 summand gets the maximal
         # digits below M0 plus a single 1 at M = 5
-        cert = construct_witness(binary_pairs, 2, 4)
+        cert = construct_witness(binary_pairs, 2, 4)[0]
         assert cert.removed_class == 1 and cert.M0 == 2
         assert cert.chosen_Ms == {0: 5}
         assert binary_pairs.seq.evaluate(cert.summands[0]) == 35
@@ -90,9 +90,20 @@ class TestConstructWitness:
             construct_witness(binary_pairs, 1, 1)
         construct_witness(binary_pairs, 1, 1, override=True)
 
+    def test_w_witnesses_in_lockstep(self, binary_pairs):
+        certs = construct_witness(binary_pairs, 2, 1, W=3)
+        assert [c.chosen_Ms for c in certs] == [{1: 3}, {1: 7}, {1: 11}]
+        ns = [c.n_value for c in certs]
+        assert ns[0] < ns[1] < ns[2]
+
+    @pytest.mark.parametrize("W", [0, -1])
+    def test_nonpositive_w_rejected(self, binary_pairs, W):
+        with pytest.raises(DomainError, match=r"^need W >= 1"):
+            construct_witness(binary_pairs, 2, 1, W=W)
+
     def test_witness_sum_identity(self, mixed23_pairs):
         for a in mixed23_pairs.enumerate(100).members:
-            cert = construct_witness(mixed23_pairs, 2, a)
+            cert = construct_witness(mixed23_pairs, 2, a)[0]
             total = sum(mixed23_pairs.seq.evaluate(rep)
                         for rep in cert.summands.values())
             assert cert.n_value == total == mixed23_pairs.seq.evaluate(cert.n_rep)
@@ -100,12 +111,12 @@ class TestConstructWitness:
 
 class TestVerifyWitness:
     def test_certifies_hand_checked_pair(self, binary_pairs):
-        cert = verify_witness(binary_pairs, construct_witness(binary_pairs, 2, 1))
+        cert = verify_witness(binary_pairs, construct_witness(binary_pairs, 2, 1)[0])
         assert (cert.expected_count, cert.measured_count) == (2, 2)
         assert cert.verdict == "certified"
 
     def test_certifies_a_three(self, binary_pairs):
-        cert = verify_witness(binary_pairs, construct_witness(binary_pairs, 2, 3))
+        cert = verify_witness(binary_pairs, construct_witness(binary_pairs, 2, 3)[0])
         assert cert.verdict == "certified"
         # brute force: no other member pair sums to 11
         w = binary_pairs.enumerate(20)
@@ -115,7 +126,8 @@ class TestVerifyWitness:
     def test_cross_check(self, binary_pairs):
         w = binary_pairs.enumerate(50)
         for a in (1, 2, 3, 4):
-            cert = verify_witness(binary_pairs, construct_witness(binary_pairs, 2, a))
+            cert = construct_witness(binary_pairs, 2, a)[0]
+            verify_witness(binary_pairs, cert)
             assert cross_check_witness(binary_pairs, cert, w)
 
     def test_expected_count_is_permutation_count(self, binary):
@@ -125,7 +137,7 @@ class TestVerifyWitness:
         spec = BasisSpec(seq=binary,
                          partition=PartitionSpec(
                              h=3, period_colors=[0, 0, 0, 1, 1, 1, 2, 2, 2]))
-        cert = verify_witness(spec, construct_witness(spec, 3, 1))
+        cert = verify_witness(spec, construct_witness(spec, 3, 1)[0])
         values = cert.multiset
         assert len(set(values)) == 3
         assert cert.expected_count == math.factorial(3)
