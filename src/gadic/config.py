@@ -20,6 +20,7 @@ class RunConfig:
     window: int = 5000
     budget: int = 20       # members to certify (K)
     witnesses: int = 3     # witnesses per member (W)
+    _KEYS = ("sequence", "partition", "t", "window", "budget", "witnesses")
 
     @property
     def basis(self) -> BasisSpec:
@@ -42,21 +43,21 @@ class RunConfig:
                 continue
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in cls._KEYS:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} "
+                                  f"(keys: {', '.join(cls._KEYS)})")
+            if key in fields:
+                raise ConfigError(f"line {lineno}: repeated key {key!r}")
+            fields[key] = value
         try:
-            seq = GadicSequence.parse(fields["sequence"])
-            partition = PartitionSpec.parse(fields["partition"])
-            cfg = cls(seq=seq, partition=partition,
-                      t=int(fields["t"]),
-                      window=int(fields.get("window", "5000")),
-                      budget=int(fields.get("budget", "20")),
-                      witnesses=int(fields.get("witnesses", "3")))
-        except ConfigError:
-            raise
+            # window, budget and witnesses, when given, override the defaults
+            return cls(seq=GadicSequence.parse(fields.pop("sequence")),
+                       partition=PartitionSpec.parse(fields.pop("partition")),
+                       t=int(fields.pop("t")),
+                       **{key: int(value) for key, value in fields.items()})
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
-        return cfg
 
 
 # One-command reproductions of the headline configurations.

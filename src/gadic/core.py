@@ -151,34 +151,36 @@ class GadicSequence:
 
 @dataclass(frozen=True)
 class DigitRep:
-    """Sparse digit map index -> digit; the empty map is 0."""
+    """Sparse digit map index -> digit, keys in ascending index order (the
+    constructor sorts them once); the empty map is 0."""
 
     digits: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        digits = self.digits
-        if digits and (min(digits) < 0 or min(digits.values()) < 1):
-            for j, x in sorted(digits.items()):
+        digits = dict(sorted(self.digits.items()))
+        if digits and (next(iter(digits)) < 0 or min(digits.values()) < 1):
+            for j, x in digits.items():
                 if j < 0:
                     raise ValueError(f"negative digit index {j}")
                 if x < 1:
                     raise ValueError(f"stored digit must be positive, got {x} at {j}")
+        object.__setattr__(self, "digits", digits)
 
     @classmethod
     def _trusted(cls, digits: dict[int, int]) -> "DigitRep":
-        """A rep of digits valid by construction, left unchecked."""
+        """A rep of valid digits inserted in ascending index order, unchecked."""
         rep = object.__new__(cls)
         object.__setattr__(rep, "digits", digits)
         return rep
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(index, digit) pairs in increasing index order."""
-        return iter(sorted(self.digits.items()))
+        return iter(self.digits.items())
 
     def max_index(self) -> int:
         if not self.digits:
             raise DomainError("0 has empty support")
-        return max(self.digits)
+        return next(reversed(self.digits))
 
     def digit(self, j: int) -> int:
         return self.digits.get(j, 0)
@@ -196,8 +198,10 @@ class DigitRep:
             return cls({})
         digits = {}
         for pair in text.split(","):
-            j, x = pair.split(":")
-            digits[int(j)] = int(x)
+            j, x = map(int, pair.split(":"))
+            if j in digits:
+                raise ValueError(f"repeated digit index {j}")
+            digits[j] = x
         return cls(digits)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -253,28 +254,22 @@ def check_prefix_inequality(seq: GadicSequence, canonical: DigitRep,
         raise DomainError(f"quotients are indexed from 1, got i={alt[0][0] + 1}")
     seq.value(max(canonical.max_index(), alt[-1][0] if alt else 0) + 1)
     quot, g = seq._quot, seq._cache
+    sums = [0]  # sums[i]: the sum of the first i sorted alternate terms
     for v, y in alt:
         if not 1 <= y < quot[v]:
             raise DigitRangeError(f"alternate coefficient {y} at index {v} "
                                   f"outside [1, {quot[v] - 1}]")
-    n = seq.evaluate(canonical)
-    terms = [y * g[v] for v, y in alt]
-    alt_total = sum(terms)
-    if alt_total != n:
-        raise DomainError(f"decompositions disagree: canonical={n}, alternate={alt_total}")
-
-    # one sweep: both the support and the sorted terms advance monotonically
-    cutoffs, lhs_list, rhs_list, holds = [], [], [], []
-    lhs = rhs = 0
-    i = 0
+        sums.append(sums[-1] + y * g[v])
+    indices = [v for v, _ in alt]
+    lhs, n = [], 0  # the last canonical partial sum is n
     for u_k, x in canonical.items():
-        lhs += x * g[u_k]
-        while i < len(alt) and alt[i][0] <= u_k:
-            rhs += terms[i]
-            i += 1
-        cutoffs.append(u_k)
-        lhs_list.append(lhs)
-        rhs_list.append(rhs)
-        holds.append(lhs <= rhs)
-    return PrefixInequalityReport(n=n, cutoffs=cutoffs, lhs=lhs_list,
-                                  rhs=rhs_list, holds=holds)
+        if not 1 <= x < quot[u_k]:
+            raise DigitRangeError(f"digit {x} at index {u_k} outside [1, {quot[u_k] - 1}]")
+        n += x * g[u_k]
+        lhs.append(n)
+    cutoffs = list(canonical.digits)
+    rhs = [sums[bisect_right(indices, u_k)] for u_k in cutoffs]
+    if sums[-1] != n:
+        raise DomainError(f"decompositions disagree: canonical={n}, alternate={sums[-1]}")
+    return PrefixInequalityReport(n=n, cutoffs=cutoffs, lhs=lhs, rhs=rhs,
+                                  holds=[a <= b for a, b in zip(lhs, rhs)])

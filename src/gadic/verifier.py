@@ -10,16 +10,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import __version__
 from .core import DigitRep, DomainError
 from .basis import BasisSpec, MemberWindow
-from .partition import HypothesisViolatedError, detect_interval_families, \
-    min_t
-from .repcount import count_reps_bruteforce, count_reps_digitdp, \
-    hfold_sumset_window, sumset_gaps
+from .partition import HypothesisViolatedError, IntervalFamilies, \
+    detect_interval_families, min_t
+from .repcount import check_prefix_inequality, count_reps_bruteforce, \
+    count_reps_digitdp, hfold_sumset_window, sumset_gaps
 
 
 @dataclass
@@ -133,19 +135,23 @@ def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
     finite budget.  All supports are pairwise disjoint, so the witness
     digits are the plain union (no carries).
     """
-    h = spec.h
-    _check_t(t, h, override)
+    _check_t(t, spec.h, override)
     if W < 1:
         raise DomainError(f"need W >= 1, got W={W}")
+    return _witnesses(spec, t, a, W, detect_interval_families(spec.partition, t))
+
+
+def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
+               fams: IntervalFamilies) -> list[WitnessCertificate]:
+    """construct_witness past its checks, on the caller's interval families."""
     rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
-    fams = detect_interval_families(spec.partition, t)
     M0 = rep_a.max_index()
-    maximal: list[dict[int, int]] = [{} for _ in range(h)]  # digits below M0
+    maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]  # digits below M0
     for j, (d, c) in enumerate(zip(*spec._positions(M0))):
         maximal[c][j] = d - 1
-    gens = {i: fams.members_from(i, M0 + t) for i in range(h) if i != i0}
+    gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
     key = spec_hash(spec, t)
 
     certs = []
@@ -184,11 +190,8 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     set with a removed.
     """
     values = cert.multiset
-    mults: dict[int, int] = {}
-    for v in values:
-        mults[v] = mults.get(v, 0) + 1
     expected = math.factorial(spec.h)
-    for m in mults.values():
+    for m in Counter(values).values():
         expected //= math.factorial(m)
     measured = count_reps_digitdp(spec, cert.n_rep, spec.h,
                                   zero_allowed=False).ordered_count
@@ -258,8 +261,8 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
 
     batch = MinimalityBatch(theorem1=report1)
     for a in members:
-        batch.certificates += [verify_witness(spec, c) for c in
-                               construct_witness(spec, t, a, W, override)]
+        batch.certificates += [verify_witness(spec, c)
+                               for c in _witnesses(spec, t, a, W, fams)]
     return batch
 
 
@@ -271,7 +274,6 @@ def check_lemma1(seq, samples: int = 100_000,
 
     Returns (passed, first counterexample description or None).
     """
-    import random
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
     rng = rng or random.Random(0)
@@ -301,7 +303,9 @@ def random_alternate_decomposition(seq, rep: DigitRep, rng,
                                    max_steps: int = 12) -> list[tuple[int, int]]:
     """Split the canonical digits `rep` of some n downward into a valid
     alternate decomposition of n: coefficient splits, and radix splits using
-    g_v = g_{v-1} + (d_v - 1) g_{v-1}."""
+    g_v = g_{v-1} + (d_v - 1) g_{v-1}.  The terms come in no particular
+    order."""
+    seq.value(rep.max_index())  # d_v = seq._quot[v - 1] for every index v
     terms = [[j, x] for j, x in rep.items()]
     for _ in range(rng.randrange(max_steps + 1)):
         k = rng.randrange(len(terms))
@@ -311,14 +315,12 @@ def random_alternate_decomposition(seq, rep: DigitRep, rng,
             terms[k][1] = y - s
             terms.append([v, s])
         elif v >= 1:
-            d = seq.quotient(v)
             if y == 1:
                 terms.pop(k)
             else:
                 terms[k][1] = y - 1
             terms.append([v - 1, 1])
-            terms.append([v - 1, d - 1])
-    rng.shuffle(terms)
+            terms.append([v - 1, seq._quot[v - 1] - 1])
     return [(v, y) for v, y in terms]
 
 
@@ -326,8 +328,6 @@ def check_lemma2(seq, samples: int = 10_000,
                  rng=None) -> tuple[bool, str | None]:
     """Prefix-inequality suite over randomly split decompositions of
     random n below 10^9."""
-    import random
-    from .repcount import check_prefix_inequality
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
     rng = rng or random.Random(1)

@@ -94,6 +94,19 @@ class TestCheckCommand:
                        "t = 2\n")
         assert main(["check", "theorem1", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        ("windw = 100\n", "line 7: unknown key 'windw'"),
+        ("window = 100\n", "line 7: repeated key 'window'"),
+    ], ids=["unknown", "repeated"])
+    def test_unknown_or_repeated_key_exits_2(self, tmp_path, capsys, extra,
+                                             message):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(PRESETS["binary-h2"] + extra)
+        assert main(["check", "theorem1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
 
 class TestMinimalityCommand:
     def test_writes_certificates(self, tmp_path, capsys):

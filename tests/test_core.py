@@ -130,6 +130,16 @@ class TestDigitRepValidation:
     def test_valid_digits_accepted(self):
         assert DigitRep({4: 1, 0: 3}).digits == {0: 3, 4: 1}
 
+    @given(digits=st.dictionaries(st.integers(0, 10 ** 6), st.integers(1, 9),
+                                  max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_unordered_dict_iterates_ascending(self, digits):
+        rep = DigitRep(digits)
+        assert list(rep.items()) == sorted(digits.items())
+        assert rep.digits == digits
+        if digits:
+            assert rep.max_index() == max(digits)
+
 
 class TestUniqueness:
     def test_exhaustive_bijection(self, mixed23):
@@ -185,6 +195,12 @@ class TestSerialization:
         assert rep.serialize() == "0:1,2:1,17:4"
         assert DigitRep.parse(rep.serialize()) == rep
         assert DigitRep.parse("") == DigitRep({})
+
+    def test_digitrep_parse_rejects_repeated_index(self):
+        with pytest.raises(ValueError, match=r"^repeated digit index 0$"):
+            DigitRep.parse("0:1,0:1")
+        with pytest.raises(ValueError, match=r"^repeated digit index 3$"):
+            DigitRep.parse("3:1,5:1,3:2")
 
     def test_sequence_round_trip(self):
         seq = GadicSequence(prefix=[5], period=[2, 3])
@@ -337,9 +353,11 @@ def test_represent_tabulates_no_large_quotient():
 
 
 def test_digit_loops_make_no_quotient_calls(monkeypatch):
-    """represent never calls quotient; leading_index, evaluate and
-    check_prefix_inequality make no call once the scale table is warm."""
+    """represent never calls quotient; leading_index, evaluate,
+    check_prefix_inequality and random_alternate_decomposition make no call
+    once the scale table is warm."""
     from gadic import check_prefix_inequality
+    from gadic.verifier import random_alternate_decomposition
     seq = GadicSequence(prefix=[3, 7], period=[2, 5, 2])
     n = random.Random(4).getrandbits(4096) | (1 << 4095)
     smaller = n // 3 + 1
@@ -364,4 +382,8 @@ def test_digit_loops_make_no_quotient_calls(monkeypatch):
     assert seq.leading_index(smaller) == expected
     assert seq.evaluate(rep) == n
     assert check_prefix_inequality(seq, rep, list(rep.items())).all_hold
+    rng = random.Random(4)
+    for _ in range(20):
+        alt = random_alternate_decomposition(seq, rep, rng, max_steps=60)
+        assert check_prefix_inequality(seq, rep, alt).all_hold
     assert calls == 0

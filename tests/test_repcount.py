@@ -413,6 +413,25 @@ class TestPrefixInequality:
             check_prefix_inequality(seq, seq.represent(40),
                                     [(40, 9), (2, 7), (1, 3), (3, 1)])
 
+    def test_out_of_range_canonical_digit_lowest_index_first(self):
+        seq = GadicSequence(prefix=[3], period=[2, 5])
+        canonical = DigitRep({9: 7, 3: 1, 2: 6, 1: 2})
+        with pytest.raises(DigitRangeError, match=r"^digit 2 at index 1 "
+                           r"outside \[1, 1\]$"):
+            check_prefix_inequality(seq, canonical, [(0, 1)])
+
+    @given(n=st.integers(1, 10 ** 15), seed=st.integers(0, 2 ** 32),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_report_ignores_alternate_order(self, n, seed, data):
+        seq = GadicSequence(prefix=[3], period=[2, 5])
+        canonical = seq.represent(n)
+        alt = random_alternate_decomposition(seq, canonical,
+                                             random.Random(seed), max_steps=30)
+        permuted = data.draw(st.permutations(alt), label="permuted")
+        assert check_prefix_inequality(seq, canonical, permuted) \
+            == check_prefix_inequality(seq, canonical, alt)
+
     def test_negative_index_rejected(self, binary):
         with pytest.raises(DomainError,
                            match=r"^quotients are indexed from 1, got i=-2$"):

@@ -1,5 +1,6 @@
 import pytest
 
+import gadic.verifier
 from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    HypothesisViolatedError, PartitionSpec, construct_witness,
                    count_reps_bruteforce, cross_check_witness,
@@ -149,6 +150,20 @@ class TestMinimalityBatch:
         batch = verify_minimality(binary_pairs, t=2, K=20, W=3)
         assert len(batch.certificates) == 60
         assert batch.passed
+
+    def test_families_detected_once(self, binary_pairs, monkeypatch):
+        real = gadic.verifier.detect_interval_families
+        calls = []
+        monkeypatch.setattr(gadic.verifier, "detect_interval_families",
+                            lambda *args: calls.append(args) or real(*args))
+        batch = verify_minimality(binary_pairs, t=2, K=5, W=2)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        expected = [verify_witness(binary_pairs, c) for a in
+                    sorted({c.removed for c in batch.certificates})
+                    for c in construct_witness(binary_pairs, 2, a, 2)]
+        assert [c.render(binary_pairs) for c in batch.certificates] \
+            == [c.render(binary_pairs) for c in expected]
 
     def test_distinct_choices_give_increasing_witnesses(self, binary_pairs):
         batch = verify_minimality(binary_pairs, t=2, K=3, W=4)
