@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .core import DomainError
 from .basis import WindowTooLargeError
-from .partition import HypothesisViolatedError, detect_interval_families, min_t
+from .partition import HypothesisViolatedError
 from .config import ConfigError, PRESETS, RunConfig, load_preset
 from .verifier import (check_lemma1, check_lemma2, removability_scan,
                        verify_minimality, verify_theorem1, verify_theorem2)
@@ -132,22 +132,14 @@ def cmd_explore(cfg: RunConfig, args) -> int:
     if args.sweep_t:
         code = EXIT_OK
         for t in (int(x) for x in args.sweep_t.split(",")):
-            fams = detect_interval_families(cfg.partition, t)
-            empties = [i for i in range(cfg.partition.h) if not fams.is_infinite(i)]
-            threshold = min_t(cfg.partition.h)
-            if empties:
-                status = f"hypothesis violated (empty families for classes {empties})"
-            elif t < threshold:
-                status = f"below threshold t>={threshold}; evidence only"
-            else:
-                batch = verify_minimality(cfg.basis, t=t, K=min(cfg.budget, 5),
-                                          W=1, override=True)
-                if batch.passed:
-                    status = "all certified"
-                else:
-                    status = "certification failed"
-                    code = EXIT_FAIL
-            print(f"t={t}: {status}")
+            try:
+                batch = verify_minimality(cfg.basis, t=t, K=min(cfg.budget, 5), W=1)
+            except HypothesisViolatedError as exc:
+                print(f"t={t}: hypothesis violated: {exc}")
+                continue
+            if not batch.passed:
+                code = EXIT_FAIL
+            print(f"t={t}: {'all certified' if batch.passed else 'certification failed'}")
         return code
     rows = removability_scan(cfg.basis, N, elem_bound=args.elem_bound)
     print(f"removability scan, 0-adjoined set, window [0,{N}] "

@@ -136,7 +136,7 @@ class GadicSequence:
 
     @classmethod
     def parse(cls, text: str) -> "GadicSequence":
-        parts = dict(p.split("=", 1) for p in text.strip().split(";"))
+        parts = _parse_fields(text, ("prefix", "period"))
         return cls(prefix=_parse_int_list(parts["prefix"]),
                    period=_parse_int_list(parts["period"]))
 
@@ -182,9 +182,6 @@ class DigitRep:
             raise DomainError("0 has empty support")
         return next(reversed(self.digits))
 
-    def digit(self, j: int) -> int:
-        return self.digits.get(j, 0)
-
     def is_zero(self) -> bool:
         return not self.digits
 
@@ -227,6 +224,24 @@ def _cut_runs(quots: list[int]) -> list[_Run]:
         runs.append((B, end - start, rows))
         start = end
     return runs
+
+
+def _parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """Read `key=value;key=value;...` holding each of `keys` exactly once."""
+    text = text.strip()
+    fields: dict[str, str] = {}
+    for part in text.split(";"):
+        key, _, value = part.partition("=")
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {text!r} "
+                             f"(keys: {', '.join(keys)})")
+        if key in fields:
+            raise ValueError(f"repeated key {key!r} in {text!r}")
+        fields[key] = value
+    for key in keys:
+        if key not in fields:
+            raise ValueError(f"missing key {key!r} in {text!r}")
+    return fields
 
 
 def _parse_int_list(text: str) -> list[int]:

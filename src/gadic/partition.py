@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainError
+from .core import DomainError, _parse_fields, _parse_int_list
 
 
 class HypothesisViolatedError(RuntimeError):
@@ -53,8 +53,7 @@ class PartitionSpec:
 
     @classmethod
     def parse(cls, text: str) -> "PartitionSpec":
-        from .core import _parse_int_list
-        parts = dict(p.split("=", 1) for p in text.strip().split(";"))
+        parts = _parse_fields(text, ("h", "prefix", "period"))
         return cls(h=int(parts["h"]),
                    prefix_colors=_parse_int_list(parts["prefix"]),
                    period_colors=_parse_int_list(parts["period"]))
@@ -74,10 +73,7 @@ def min_t(h: int) -> int:
     """Smallest t with 2**(t-1) >= h."""
     if h < 2:
         raise DomainError(f"order must be >= 2, got h={h}")
-    t = 1
-    while 2 ** (t - 1) < h:
-        t += 1
-    return t
+    return (h - 1).bit_length() + 1
 
 
 @dataclass
@@ -89,7 +85,6 @@ class IntervalFamilies:
     whose window touches the prefix are listed explicitly.
     """
 
-    t: int
     modulus: int
     threshold: int
     residues: list[set[int]]     # per class, residues mod `modulus`
@@ -98,26 +93,21 @@ class IntervalFamilies:
     def is_infinite(self, i: int) -> bool:
         return bool(self.residues[i])
 
-    def nth_member(self, i: int, lower: int) -> int:
-        """Smallest family member M of class i with M >= lower."""
-        candidates = [M for M in self.prefix_members[i] if M >= lower]
-        start = max(lower, self.threshold)
-        for r in self.residues[i]:
-            # smallest M >= start with M % modulus == r
-            M = start + (r - start) % self.modulus
-            candidates.append(M)
-        if not candidates:
-            raise HypothesisViolatedError(
-                f"class {i} has no window endpoint >= {lower}")
-        return min(candidates)
-
     def members_from(self, i: int, lower: int):
-        """Yield family members of class i >= lower in increasing order."""
-        M = lower
+        """Yield family members of class i >= lower in increasing order; a
+        class with no residues raises once its prefix members run out."""
+        yield from (M for M in self.prefix_members[i] if M >= lower)
+        residues = sorted(self.residues[i])
+        if not residues:
+            raise HypothesisViolatedError(
+                f"class {i} has no periodic window endpoint")
+        start = max(lower, self.threshold)
+        base = start - start % self.modulus
         while True:
-            M = self.nth_member(i, M)
-            yield M
-            M += 1
+            for r in residues:
+                if base + r >= start:
+                    yield base + r
+            base += self.modulus
 
 
 def detect_interval_families(spec: PartitionSpec, t: int) -> IntervalFamilies:
@@ -151,5 +141,5 @@ def detect_interval_families(spec: PartitionSpec, t: int) -> IntervalFamilies:
         c = mono_class(M)
         if c is not None:
             prefix_members[c].append(M)
-    return IntervalFamilies(t=t, modulus=P, threshold=threshold,
+    return IntervalFamilies(modulus=P, threshold=threshold,
                             residues=residues, prefix_members=prefix_members)

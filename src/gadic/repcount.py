@@ -16,59 +16,31 @@ from functools import lru_cache
 from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
 from .basis import BasisSpec, MemberWindow
 
-DEFAULT_ENUMERATION_CAP = 10_000
-
-
 @dataclass
 class RepCountResult:
     ordered_count: int
-    enumeration: list[tuple[int, ...]] | None = None  # None when over cap
     peak_states: int | None = None  # digit DP: most live states at a position
 
 
 def count_reps_bruteforce(window: MemberWindow, n: int, h: int,
-                          zero_allowed: bool = False,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> RepCountResult:
-    """Exhaustive ordered-tuple count over a precomputed member window.
-
-    Recursive h-way composition with pruning; the tuple list is dropped
-    (set to None) once it exceeds `cap`.
-    """
+                          zero_allowed: bool = False) -> RepCountResult:
+    """Exhaustive ordered-tuple count over a precomputed member window, by
+    recursive h-way composition with pruning."""
     if n > window.N:
         raise DomainError(f"n={n} exceeds the enumerated window [0, {window.N}]")
     if h < 1:
         raise DomainError(f"need h >= 1, got {h}")
-    members = window.members
-    member_set = window.member_set
-    pool = ([0] + members) if zero_allowed else members
-    last_ok = (lambda r: r == 0 or r in member_set) if zero_allowed \
-        else (lambda r: r in member_set)
+    pool = [0] + window.members if zero_allowed else window.members
+    allowed = set(pool) if zero_allowed else window.member_set
 
-    count = 0
-    tuples: list[tuple[int, ...]] | None = []
-    prefix: list[int] = []
-
-    def rec(slots: int, rem: int):
-        nonlocal count, tuples
+    def rec(slots: int, rem: int) -> int:
         if slots == 1:
-            if last_ok(rem):
-                count += 1
-                if tuples is not None:
-                    if len(tuples) < cap:
-                        tuples.append(tuple(prefix) + (rem,))
-                    else:
-                        tuples = None
-            return
-        min_rest = 0 if zero_allowed else slots - 1
-        for m in pool:
-            if m > rem - min_rest:
-                break
-            prefix.append(m)
-            rec(slots - 1, rem - m)
-            prefix.pop()
+            return int(rem in allowed)
+        # the other slots - 1 summands are >= 1 each unless 0 is allowed
+        top = bisect_right(pool, rem if zero_allowed else rem - slots + 1)
+        return sum(rec(slots - 1, rem - m) for m in pool[:top])
 
-    rec(h, n)
-    return RepCountResult(ordered_count=count, enumeration=tuples)
+    return RepCountResult(ordered_count=rec(h, n))
 
 
 def hfold_sumset_window(mask: int, N: int, h: int) -> int:

@@ -116,11 +116,21 @@ def verify_theorem2(spec: BasisSpec, N: int,
     return with_zero, verify_theorem1(spec, N, window)
 
 
-def _check_t(t: int, h: int, override: bool) -> None:
-    """The hypothesis t >= min_t(h) of the minimality construction."""
+def _interval_families(spec: BasisSpec, t: int,
+                       override: bool) -> IntervalFamilies:
+    """The interval families of the minimality construction, once its
+    hypothesis holds: t >= min_t(h) (unless override) and every class has
+    monochromatic t-windows that recur in the period."""
+    fams = detect_interval_families(spec.partition, t)
+    h = spec.h
     if t < min_t(h) and not override:
         raise HypothesisViolatedError(
             f"t={t} below threshold {min_t(h)} for h={h} (pass override to force)")
+    for i in range(h):
+        if not fams.is_infinite(i):
+            raise HypothesisViolatedError(
+                f"class {i} has no periodic t-window (empty interval family)")
+    return fams
 
 
 def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
@@ -135,10 +145,10 @@ def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
     finite budget.  All supports are pairwise disjoint, so the witness
     digits are the plain union (no carries).
     """
-    _check_t(t, spec.h, override)
+    fams = _interval_families(spec, t, override)
     if W < 1:
         raise DomainError(f"need W >= 1, got W={W}")
-    return _witnesses(spec, t, a, W, detect_interval_families(spec.partition, t))
+    return _witnesses(spec, t, a, W, fams)
 
 
 def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
@@ -159,7 +169,8 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
         chosen = {i: next(g) for i, g in gens.items()}
         summands = {i0: rep_a}
         for i, Mi in chosen.items():
-            summands[i] = DigitRep({**maximal[i], Mi: 1})
+            # ascending: every maximal index is below M0 < Mi
+            summands[i] = DigitRep._trusted({**maximal[i], Mi: 1})
         merged: dict[int, int] = {}
         for rep in summands.values():
             for j, x in rep.digits.items():
@@ -208,15 +219,18 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
 
 def cross_check_witness(spec: BasisSpec, cert: WitnessCertificate,
                         window: MemberWindow) -> bool:
-    """Independent brute-force confirmation for window-sized witnesses:
-    the tuple list is exactly the permutations of the construction multiset,
-    and the count over the set with a removed is zero."""
-    n = cert.n_value
+    """Independent brute-force confirmation for window-sized witnesses.
+    Each distinct permutation of h member values summing to n represents n,
+    so an equal brute-force count means there are no other representations,
+    and the count over the set with a removed must be zero."""
+    n, values = cert.n_value, cert.multiset
     if n > window.N:
         raise DomainError(f"witness {n} exceeds window [0, {window.N}]")
-    res = count_reps_bruteforce(window, n, spec.h)
-    expected_tuples = sorted(set(itertools.permutations(cert.multiset)))
-    if res.enumeration is None or sorted(res.enumeration) != expected_tuples:
+    if (len(values) != spec.h or sum(values) != n
+            or not window.member_set.issuperset(values)):
+        return False
+    expected = len(set(itertools.permutations(values)))
+    if count_reps_bruteforce(window, n, spec.h).ordered_count != expected:
         return False
     reduced = MemberWindow(N=window.N,
                            members=[m for m in window.members if m != cert.removed],
@@ -239,15 +253,9 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
                       override: bool = False) -> MinimalityBatch:
     """Certify the first K members with W witnesses each (see
     construct_witness for how the W witnesses of a member are chosen)."""
-    h = spec.h
-    _check_t(t, h, override)
+    fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
-    fams = detect_interval_families(spec.partition, t)
-    for i in range(h):
-        if not fams.is_infinite(i):
-            raise HypothesisViolatedError(
-                f"class {i} has no periodic t-window (empty interval family)")
 
     report1 = verify_theorem1(spec, 2000)
 

@@ -107,6 +107,23 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("prefix=[];period=[2]", "prefix=[];period=[2];period=[3]",
+         "repeated key 'period' in 'prefix=[];period=[2];period=[3]'"),
+        ("period=[0,0,1,1]", "period=[0,0,1,1];perod=[5]",
+         "unknown key 'perod' in 'h=2;prefix=[];period=[0,0,1,1];perod=[5]' "
+         "(keys: h, prefix, period)"),
+        ("prefix=[];period=[2]", "period=[2]",
+         "missing key 'prefix' in 'period=[2]'"),
+    ], ids=["repeated", "unknown", "missing"])
+    def test_bad_subkey_exits_2(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "sub.cfg"
+        cfg.write_text(PRESETS["binary-h2"].replace(old, new, 1))
+        assert main(["check", "theorem1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid configuration: {message}\n"
+
 
 class TestMinimalityCommand:
     def test_writes_certificates(self, tmp_path, capsys):
@@ -121,6 +138,12 @@ class TestMinimalityCommand:
 
     def test_t_below_threshold_exits_3(self):
         assert main(["minimality", "--t", "1"]) == 3
+
+    @pytest.mark.parametrize("flags", [[], ["--override"]])
+    def test_t_zero_exits_2(self, flags, capsys):
+        assert main(["minimality", "--t", "0", *flags]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: window length must be >= 1, got t=0")
 
     @pytest.mark.parametrize("flags", [["--budget", "-1", "--witnesses", "1"],
                                        ["--budget", "0"], ["--witnesses", "0"]])
@@ -162,11 +185,15 @@ class TestExploreCommand:
         out = capsys.readouterr().out
         assert "t=3: hypothesis violated" in out
 
+    def test_sweep_t_zero_exits_2(self):
+        assert main(["explore", "--sweep-t", "0"]) == 2
+
     def test_sweep_t_certification_failure_exits_1(self, skew_dp_count, capsys):
         skew_dp_count(+1)
         assert main(["explore", "--sweep-t", "1,2"]) == 1
         out = capsys.readouterr().out
-        assert "t=1: below threshold" in out
+        assert ("t=1: hypothesis violated: t=1 below threshold 2 for h=2 "
+                "(pass override to force)") in out
         assert "t=2: certification failed" in out
 
 
@@ -177,20 +204,29 @@ def test_bench_command_removed(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-def readme_cli_lines() -> list[str]:
-    """The `gadic ...` lines of the README's CLI code block."""
+def readme_cli_block() -> list[str]:
+    """The lines of the README's CLI code block."""
     section = README.read_text().split("\n## CLI\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("gadic ")]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
 
 
-def test_readme_cli_lines_parse():
-    lines = readme_cli_lines()
+def test_readme_cli_lines_parse(tmp_path, monkeypatch, capsys):
+    """Every `gadic ...` line of the README parses and runs with exit 0, and
+    the represent line prints the output documented under it."""
+    block = readme_cli_block()
+    lines = [line for line in block if line.startswith("gadic ")]
     assert lines
     parser = build_parser()
+    monkeypatch.chdir(tmp_path)
     for line in lines:
         argv = shlex.split(line, comments=True)
         assert parser.parse_args(argv[1:]).command == argv[1], line
+        assert main(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        if argv[1] == "represent":
+            documented = block[block.index(line) + 1]
+            assert documented == "# 1:2,2:1 (M=2)"
+            assert out == documented[2:] + "\n"
 
 
 def test_determinism(capsys):

@@ -103,11 +103,14 @@ class TestDetectIntervalFamilies:
 
 
 class TestNthMember:
+    """The smallest family member >= lower is the first one members_from
+    yields."""
+
     def test_residue_arithmetic(self, pairs_partition):
         fam = detect_interval_families(pairs_partition, 2)
-        assert fam.nth_member(1, 2) == 3
-        assert fam.nth_member(1, 4) == 7
-        assert fam.nth_member(0, 0) == 1
+        assert next(fam.members_from(1, 2)) == 3
+        assert next(fam.members_from(1, 4)) == 7
+        assert next(fam.members_from(0, 0)) == 1
 
     def test_members_from_is_increasing(self, pairs_partition):
         fam = detect_interval_families(pairs_partition, 2)
@@ -118,4 +121,4 @@ class TestNthMember:
         part = PartitionSpec(h=2, period_colors=[0, 1])
         fam = detect_interval_families(part, 2)
         with pytest.raises(HypothesisViolatedError):
-            fam.nth_member(0, 0)
+            next(fam.members_from(0, 0))

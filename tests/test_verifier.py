@@ -121,8 +121,7 @@ class TestVerifyWitness:
         assert cert.verdict == "certified"
         # brute force: no other member pair sums to 11
         w = binary_pairs.enumerate(20)
-        res = count_reps_bruteforce(w, 11, 2)
-        assert sorted(res.enumeration) == [(3, 8), (8, 3)]
+        assert count_reps_bruteforce(w, 11, 2).ordered_count == 2
 
     def test_cross_check(self, binary_pairs):
         w = binary_pairs.enumerate(50)
@@ -130,6 +129,19 @@ class TestVerifyWitness:
             cert = construct_witness(binary_pairs, 2, a)[0]
             verify_witness(binary_pairs, cert)
             assert cross_check_witness(binary_pairs, cert, w)
+
+    @pytest.mark.parametrize("multiset,n", [
+        ([4, 5], 9),    # 5 is not a member, yet 9 has two representations
+        ([1, 8], 5),    # n swapped: 5 = 1+4 = 2+3 has four representations
+        ([1, 4], 5),    # a representation of 5, but not the only one
+    ])
+    def test_cross_check_rejects(self, binary_pairs, multiset, n):
+        cert = construct_witness(binary_pairs, 2, 1)[0]
+        assert (cert.multiset, cert.n_value) == ([1, 8], 9)
+        w = binary_pairs.enumerate(50)
+        assert cross_check_witness(binary_pairs, cert, w)
+        cert.multiset, cert.n_value = multiset, n
+        assert not cross_check_witness(binary_pairs, cert, w)
 
     def test_expected_count_is_permutation_count(self, binary):
         # witness summands are pairwise distinct, so the expected ordered
@@ -177,6 +189,17 @@ class TestMinimalityBatch:
         spec = BasisSpec(seq=binary,
                          partition=PartitionSpec(h=2, period_colors=[0, 1]))
         with pytest.raises(HypothesisViolatedError):
+            verify_minimality(spec, t=2, K=1, W=1)
+
+    def test_finite_family_violates_for_both(self, binary):
+        # class 1 has window endpoints 2, 3, 4 in the prefix only, class 0
+        # none; the prefix alone would let construct_witness(spec, 2, 1) pass
+        spec = BasisSpec(seq=binary, partition=PartitionSpec(
+            h=2, period_colors=[0, 1], prefix_colors=[0, 1, 1, 1, 1]))
+        message = r"^class 0 has no periodic t-window \(empty interval family\)$"
+        with pytest.raises(HypothesisViolatedError, match=message):
+            construct_witness(spec, 2, 1)
+        with pytest.raises(HypothesisViolatedError, match=message):
             verify_minimality(spec, t=2, K=1, W=1)
 
     def test_t_guard(self, binary_pairs):
