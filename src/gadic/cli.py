@@ -13,8 +13,9 @@ from .core import DomainError
 from .basis import WindowTooLargeError
 from .partition import HypothesisViolatedError
 from .config import ConfigError, PRESETS, RunConfig, load_preset
-from .verifier import (check_lemma1, check_lemma2, removability_scan,
-                       verify_minimality, verify_theorem1, verify_theorem2)
+from .verifier import (_OVERRIDE_HINT, check_lemma1, check_lemma2,
+                       removability_scan, verify_minimality, verify_theorem1,
+                       verify_theorem2)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -135,7 +136,9 @@ def cmd_explore(cfg: RunConfig, args) -> int:
             try:
                 batch = verify_minimality(cfg.basis, t=t, K=min(cfg.budget, 5), W=1)
             except HypothesisViolatedError as exc:
-                print(f"t={t}: hypothesis violated: {exc}")
+                # explore has no --override, so the gate's hint is dropped
+                print(f"t={t}: hypothesis violated: "
+                      f"{str(exc).removesuffix(_OVERRIDE_HINT)}")
                 continue
             if not batch.passed:
                 code = EXIT_FAIL

@@ -50,13 +50,16 @@ class RunConfig:
             if key in fields:
                 raise ConfigError(f"line {lineno}: repeated key {key!r}")
             fields[key] = value
+        for key in cls._KEYS[:3]:
+            if key not in fields:
+                raise ConfigError(f"invalid configuration: missing key {key!r}")
         try:
             # window, budget and witnesses, when given, override the defaults
             return cls(seq=GadicSequence.parse(fields.pop("sequence")),
                        partition=PartitionSpec.parse(fields.pop("partition")),
                        t=int(fields.pop("t")),
                        **{key: int(value) for key, value in fields.items()})
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
 

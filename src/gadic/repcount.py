@@ -46,36 +46,41 @@ def count_reps_bruteforce(window: MemberWindow, n: int, h: int,
 def hfold_sumset_window(mask: int, N: int, h: int) -> int:
     """Iterated shift-OR: bit n of the result is set iff n <= N is a sum of
     exactly h set bits (with repetition) of `mask`."""
+    return _sumset_layers(mask, N, h)[-1]
+
+
+def _sumset_layers(mask: int, N: int, h: int) -> list[int]:
+    """kA over [0, N] for k = 1..h, A the set bits of mask: each shift-OR
+    round shifts the last layer by every member, members x N/64 words."""
     if h < 1:
         raise DomainError(f"need h >= 1, got {h}")
     clip = (1 << (N + 1)) - 1
-    mask &= clip
-    shifts = _low_bits(mask)
-    acc = mask
+    layers = [mask & clip]
+    shifts = _low_bits(layers[0])
     for _ in range(h - 1):
         nxt = 0
         for s in shifts:
-            nxt |= acc << s
-        acc = nxt & clip
-    return acc
+            nxt |= layers[-1] << s
+        layers.append(nxt & clip)
+    return layers
 
 
 def sumset_gaps(sumset: int, N: int) -> list[int]:
-    """The n in [0, N] missing from a window sumset bit array, ascending.
-
-    Reads them off the complement, so the cost follows the number and size
-    of the gaps instead of N.
-    """
+    """The n in [0, N] missing from a window sumset bit array, ascending,
+    read off the complement: O(N/64) in C plus O(gaps) in Python."""
     return _low_bits(~sumset & ((1 << (N + 1)) - 1))
 
 
 def _low_bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask >= 0, ascending."""
+    """Positions of the set bits of mask >= 0, ascending: one conversion to
+    a binary string, then one C-level search per set bit from the low end."""
+    bits = format(mask, "b")
+    top = len(bits) - 1
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    i = bits.rfind("1")
+    while i >= 0:
+        out.append(top - i)
+        i = bits.rfind("1", 0, i)
     return out
 
 

@@ -20,8 +20,8 @@ from .core import DigitRep, DomainError
 from .basis import BasisSpec, MemberWindow
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
-from .repcount import check_prefix_inequality, count_reps_bruteforce, \
-    count_reps_digitdp, hfold_sumset_window, sumset_gaps
+from .repcount import _sumset_layers, check_prefix_inequality, \
+    count_reps_bruteforce, count_reps_digitdp, hfold_sumset_window, sumset_gaps
 
 
 @dataclass
@@ -85,35 +85,42 @@ def spec_hash(spec: BasisSpec, t: int) -> str:
     return hashlib.sha256(f"{spec.serialize()}|t={t}".encode()).hexdigest()[:16]
 
 
+def _window_report(sumset: int, N: int, expected: list[int],
+                   t0: float) -> BasisReport:
+    gaps = sumset_gaps(sumset, N)
+    return BasisReport(gaps, gaps == expected, time.perf_counter() - t0)
+
+
 def verify_theorem1(spec: BasisSpec, N: int,
                     window: MemberWindow | None = None) -> BasisReport:
     """Pass iff the h-fold sumset over [0, N] misses exactly [0, h-1]."""
     if N < spec.h:
         raise DomainError(f"window bound {N} below order {spec.h}")
     t0 = time.perf_counter()
-    if window is None:
-        window = spec.enumerate(N)
-    s = hfold_sumset_window(window.mask, N, spec.h)
-    gaps = sumset_gaps(s, N)
-    return BasisReport(gaps=gaps, passed=(gaps == list(range(spec.h))),
-                       elapsed=time.perf_counter() - t0)
+    mask = (spec.enumerate(N) if window is None else window).mask
+    s = hfold_sumset_window(mask, N, spec.h)
+    return _window_report(s, N, list(range(spec.h)), t0)
 
 
 def verify_theorem2(spec: BasisSpec, N: int,
                     window: MemberWindow | None = None
                     ) -> tuple[BasisReport, BasisReport]:
     """(a) with 0 adjoined the h-fold sumset covers [0, N] entirely;
-    (b) removing 0 again restores exactly the order-h gap set."""
+    (b) removing 0 again restores exactly the order-h gap set.  One
+    shift-OR pass gives both: h(A u {0}) = {0} u kA (k = 1..h), hA last."""
     if N < spec.h:
         raise DomainError(f"window bound {N} below order {spec.h}")
     t0 = time.perf_counter()
-    if window is None:
-        window = spec.enumerate(N)
-    s = hfold_sumset_window(window.mask | 1, N, spec.h)
-    gaps = sumset_gaps(s, N)
-    with_zero = BasisReport(gaps=gaps, passed=(gaps == []),
-                            elapsed=time.perf_counter() - t0)
-    return with_zero, verify_theorem1(spec, N, window)
+    mask = (spec.enumerate(N) if window is None else window).mask
+    layers = _sumset_layers(mask, N, spec.h)
+    cover = 1
+    for layer in layers:
+        cover |= layer
+    return (_window_report(cover, N, [], t0),
+            _window_report(layers[-1], N, list(range(spec.h)), t0))
+
+
+_OVERRIDE_HINT = " (pass override to force)"  # ends the threshold message
 
 
 def _interval_families(spec: BasisSpec, t: int,
@@ -125,7 +132,7 @@ def _interval_families(spec: BasisSpec, t: int,
     h = spec.h
     if t < min_t(h) and not override:
         raise HypothesisViolatedError(
-            f"t={t} below threshold {min_t(h)} for h={h} (pass override to force)")
+            f"t={t} below threshold {min_t(h)} for h={h}{_OVERRIDE_HINT}")
     for i in range(h):
         if not fams.is_infinite(i):
             raise HypothesisViolatedError(

@@ -124,6 +124,18 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == f"error: invalid configuration: {message}\n"
 
+    @pytest.mark.parametrize("key", ["sequence", "partition", "t"])
+    def test_missing_key_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "missing.cfg"
+        cfg.write_text("".join(line + "\n" for line in
+                               PRESETS["binary-h2"].splitlines()
+                               if not line.startswith(f"{key} =")))
+        assert main(["check", "theorem1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: invalid configuration: "
+                                f"missing key {key!r}\n")
+
 
 class TestMinimalityCommand:
     def test_writes_certificates(self, tmp_path, capsys):
@@ -192,8 +204,8 @@ class TestExploreCommand:
         skew_dp_count(+1)
         assert main(["explore", "--sweep-t", "1,2"]) == 1
         out = capsys.readouterr().out
-        assert ("t=1: hypothesis violated: t=1 below threshold 2 for h=2 "
-                "(pass override to force)") in out
+        assert "t=1: hypothesis violated: t=1 below threshold 2 for h=2\n" in out
+        assert "override" not in out
         assert "t=2: certification failed" in out
 
 

@@ -12,7 +12,7 @@ from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    count_reps_digitdp, hfold_sumset_window, load_preset,
                    min_t)
 from gadic import cli, repcount
-from gadic.repcount import sumset_gaps
+from gadic.repcount import _low_bits, _sumset_layers, sumset_gaps
 from gadic.verifier import random_alternate_decomposition
 
 
@@ -22,6 +22,27 @@ def mask_to_set(mask: int) -> set[int]:
 
 def naive_gaps(mask: int, N: int) -> list[int]:
     return [n for n in range(N + 1) if not (mask >> n) & 1]
+
+
+def low_bit_walk(mask: int) -> list[int]:
+    """Reference bit reader: peel off the lowest set bit with mask & -mask
+    until none is left, two full-width operations per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@st.composite
+def dense_masks(draw):
+    """All bits of [0, width) set but for a few cleared ones."""
+    width = draw(st.integers(1, 2000))
+    mask = (1 << width) - 1
+    for b in draw(st.lists(st.integers(0, width - 1), max_size=8)):
+        mask &= ~(1 << b)
+    return mask
 
 
 def ordered_digitdp(spec: BasisSpec, n: DigitRep, h: int,
@@ -372,6 +393,30 @@ class TestHfoldSumset:
             assert bool((s >> n) & 1) == positive
 
 
+class TestSumsetLayers:
+    @settings(max_examples=150, deadline=None)
+    @given(N=st.integers(0, 300), h=st.integers(1, 4), data=st.data())
+    def test_layer_k_is_the_k_fold_sumset(self, N, h, data):
+        mask = data.draw(st.integers(0, (1 << (N + 40)) - 1), label="mask")
+        layers = _sumset_layers(mask, N, h)
+        assert len(layers) == h
+        for k in range(1, h + 1):
+            assert layers[k - 1] == hfold_sumset_window(mask, N, k)
+            assert layers[k - 1] < 1 << (N + 1)  # clipped to the window
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_layers(self, name):
+        spec, N = load_preset(name).basis, 4096
+        mask = spec.enumerate(N).mask
+        layers = _sumset_layers(mask, N, spec.h)
+        for k in range(1, spec.h + 1):
+            assert layers[k - 1] == hfold_sumset_window(mask, N, k)
+
+    def test_nonpositive_order_rejected(self):
+        with pytest.raises(DomainError, match=r"^need h >= 1"):
+            _sumset_layers(0b110, 10, 0)
+
+
 class TestPrefixInequality:
     def test_mixed_radix_example(self, mixed23):
         rep = mixed23.represent(8)
@@ -454,6 +499,36 @@ class TestPrefixInequality:
             rep = mixed23.represent(n)
             alt = random_alternate_decomposition(mixed23, rep, rng)
             assert check_prefix_inequality(mixed23, rep, alt).all_hold
+
+
+class TestLowBits:
+    def test_zero_and_one(self):
+        assert _low_bits(0) == low_bit_walk(0) == []
+        assert _low_bits(1) == low_bit_walk(1) == [0]
+        assert sumset_gaps(0, 0) == low_bit_walk(1)
+        assert sumset_gaps(1, 0) == low_bit_walk(0)
+
+    def test_single_high_bit(self):
+        assert _low_bits(1 << 17) == low_bit_walk(1 << 17) == [17]
+        for N in (17, 18, 40):
+            clip = (1 << (N + 1)) - 1
+            assert sumset_gaps(1 << 17, N) == low_bit_walk(~(1 << 17) & clip)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask=dense_masks(), data=st.data())
+    def test_dense_masks(self, mask, data):
+        assert _low_bits(mask) == low_bit_walk(mask)
+        N = data.draw(st.integers(0, mask.bit_length() + 5), label="N")
+        clip = (1 << (N + 1)) - 1
+        assert sumset_gaps(mask, N) == low_bit_walk(~mask & clip)
+
+    @settings(max_examples=200, deadline=None)
+    @given(N=st.integers(0, 3000), data=st.data())
+    def test_random_masks_with_bits_above_the_window(self, N, data):
+        mask = data.draw(st.integers(0, (1 << (N + 200)) - 1), label="mask")
+        assert _low_bits(mask) == low_bit_walk(mask)
+        clip = (1 << (N + 1)) - 1
+        assert sumset_gaps(mask, N) == low_bit_walk(~mask & clip)
 
 
 class TestSumsetGaps:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 import gadic.verifier
 from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
@@ -7,6 +8,8 @@ from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    hfold_sumset_window, load_preset, removability_scan,
                    verify_minimality, verify_theorem1, verify_theorem2,
                    verify_witness)
+from gadic.repcount import sumset_gaps
+from test_repcount import configurations
 
 
 def naive_window_gaps(spec: BasisSpec, N: int, adjoin_zero: bool = False,
@@ -59,6 +62,35 @@ class TestTheorem2:
                          partition=PartitionSpec(h=3, period_colors=[0, 1, 2]))
         with_zero, without = verify_theorem2(spec, 2000)
         assert with_zero.passed and without.passed
+
+
+def two_pass_theorem2(spec: BasisSpec, N: int):
+    """Theorem 2's reports by two full sumsets: h(A u {0}) directly, then
+    hA through verify_theorem1."""
+    window = spec.enumerate(N)
+    gaps = sumset_gaps(hfold_sumset_window(window.mask | 1, N, spec.h), N)
+    without = verify_theorem1(spec, N, window)
+    return (gaps, gaps == []), (without.gaps, without.passed)
+
+
+def one_pass_theorem2(spec: BasisSpec, N: int):
+    with_zero, without = verify_theorem2(spec, N)
+    return (with_zero.gaps, with_zero.passed), (without.gaps, without.passed)
+
+
+class TestTheorem2OnePass:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("extra", [0, 1, None])
+    def test_presets_match_two_passes(self, name, extra):
+        spec = load_preset(name).basis
+        N = 4096 if extra is None else spec.h + extra
+        assert one_pass_theorem2(spec, N) == two_pass_theorem2(spec, N)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=configurations())
+    def test_random_configurations_match_two_passes(self, spec):
+        for N in (spec.h, spec.h + 1, 600):
+            assert one_pass_theorem2(spec, N) == two_pass_theorem2(spec, N)
 
 
 class TestConstructWitness:
