@@ -65,9 +65,61 @@ def _sumset_layers(mask: int, N: int, h: int) -> list[int]:
     return layers
 
 
+def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
+    """X + (A minus {a}) over [0, N] >= 1, A the members of spec, X a bit
+    array.
+
+    The class-i members with top digit at index m are the digit box
+    [1, d-1]*g_m + (class-i digits below m), so one walk over the indices
+    j with g_j <= N builds X + A: per class, Y = X + (its digit box below
+    j), and at a class-c index the piece OR_x Y_c << x*g_j (x*g_j <= N)
+    joins the output and Y_c.  Cost: sum of (d - 1) shifts over those
+    indices, O(N/64) words each, however many members there are (the
+    member route, hfold_sumset_window, is the tests' oracle).  A member a
+    of class i0 with top index M0 splits its own piece into one box per
+    class-i0 index k <= M0: a's digits above k, a digit other than a's at
+    k (nonzero at M0), and any class-i0 digits below k.  An a that is not
+    a member removes nothing.
+    """
+    seq = spec.seq
+    top = seq.leading_index(N)
+    quots, colors = spec._positions(top + 1)
+    g = seq._cache  # grown past N by leading_index
+    clip = (1 << (N + 1)) - 1
+    # the indices of a's nonzero digits
+    support = [j for j in range(top + 1) if a % g[j + 1] >= g[j]] if a <= N else []
+    classes = {colors[j] for j in support}
+    i0 = classes.pop() if len(classes) == 1 else None
+    M0 = support[-1] if i0 is not None else -1
+    Y = [X & clip] * spec.h
+    out = 0
+    for j in range(top + 1):
+        c, d, gj = colors[j], quots[j], g[j]
+        y = Y[c]
+        part = 0
+        for x in range(1, d):
+            if x * gj > N:
+                break
+            part |= y << x * gj
+        part &= clip
+        Y[c] = y | part
+        if c != i0 or j != M0:
+            out |= part
+        if c == i0 and j <= M0:
+            above = a - a % g[j + 1]  # a's digits above j
+            own = a // gj % d
+            for x in range(0 if j < M0 else 1, d):
+                if above + x * gj > N:
+                    break
+                if x != own:
+                    out |= y << above + x * gj
+    return out & clip
+
+
 def sumset_gaps(sumset: int, N: int) -> list[int]:
-    """The n in [0, N] missing from a window sumset bit array, ascending,
-    read off the complement: O(N/64) in C plus O(gaps) in Python."""
+    """The n in [0, N] missing from a window sumset bit array (from
+    `_add_members` or `hfold_sumset_window`), ascending, read off the
+    complement: O(N/64) in C plus O(gaps) in Python."""
     return _low_bits(~sumset & ((1 << (N + 1)) - 1))
 
 

@@ -20,8 +20,8 @@ from .core import DigitRep, DomainError
 from .basis import BasisSpec, MemberWindow
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
-from .repcount import _sumset_layers, check_prefix_inequality, \
-    count_reps_bruteforce, count_reps_digitdp, hfold_sumset_window, sumset_gaps
+from .repcount import _add_members, check_prefix_inequality, \
+    count_reps_bruteforce, count_reps_digitdp, sumset_gaps
 
 
 @dataclass
@@ -91,28 +91,29 @@ def _window_report(sumset: int, N: int, expected: list[int],
     return BasisReport(gaps, gaps == expected, time.perf_counter() - t0)
 
 
-def verify_theorem1(spec: BasisSpec, N: int,
-                    window: MemberWindow | None = None) -> BasisReport:
+def _window_layers(spec: BasisSpec, N: int) -> list[int]:
+    """kA over [0, N] for k = 1..h, each layer the last plus A."""
+    if N < spec.h:
+        raise DomainError(f"window bound {N} below order {spec.h}")
+    layers = [_add_members(spec, 1, N)]
+    for _ in range(spec.h - 1):
+        layers.append(_add_members(spec, layers[-1], N))
+    return layers
+
+
+def verify_theorem1(spec: BasisSpec, N: int) -> BasisReport:
     """Pass iff the h-fold sumset over [0, N] misses exactly [0, h-1]."""
-    if N < spec.h:
-        raise DomainError(f"window bound {N} below order {spec.h}")
     t0 = time.perf_counter()
-    mask = (spec.enumerate(N) if window is None else window).mask
-    s = hfold_sumset_window(mask, N, spec.h)
-    return _window_report(s, N, list(range(spec.h)), t0)
+    hA = _window_layers(spec, N)[-1]
+    return _window_report(hA, N, list(range(spec.h)), t0)
 
 
-def verify_theorem2(spec: BasisSpec, N: int,
-                    window: MemberWindow | None = None
-                    ) -> tuple[BasisReport, BasisReport]:
+def verify_theorem2(spec: BasisSpec, N: int) -> tuple[BasisReport, BasisReport]:
     """(a) with 0 adjoined the h-fold sumset covers [0, N] entirely;
-    (b) removing 0 again restores exactly the order-h gap set.  One
-    shift-OR pass gives both: h(A u {0}) = {0} u kA (k = 1..h), hA last."""
-    if N < spec.h:
-        raise DomainError(f"window bound {N} below order {spec.h}")
+    (b) removing 0 again restores exactly the order-h gap set.  One pass
+    gives both: h(A u {0}) = {0} u kA (k = 1..h), hA last."""
     t0 = time.perf_counter()
-    mask = (spec.enumerate(N) if window is None else window).mask
-    layers = _sumset_layers(mask, N, spec.h)
+    layers = _window_layers(spec, N)
     cover = 1
     for layer in layers:
         cover |= layer
@@ -369,23 +370,27 @@ def removability_scan(spec: BasisSpec, N: int,
     """For each a in {0} union the members up to elem_bound, recompute the
     h-fold window sumset of the 0-adjoined set without a.  Output is labeled
     evidence: a finite window cannot settle an asymptotic claim."""
-    window = spec.enumerate(N)
-    mask0 = window.mask | 1
     if elem_bound is None:
         elem_bound = min(N, 64)
+    elif elem_bound < 0:
+        raise DomainError(f"element bound must be >= 0, got {elem_bound}")
+    window = spec.enumerate(N)
     elements = [0] + [m for m in window.members if m <= elem_bound]
+    clip = (1 << (N + 1)) - 1
     rows = []
     for a in elements:
-        s = hfold_sumset_window(mask0 & ~(1 << a), N, spec.h)
-        misses = sumset_gaps(s, N)
-        if misses:
-            covered_from = misses[-1] + 1 if misses[-1] < N else None
-        else:
-            covered_from = 0
+        # h steps of X <- X + ((A u {0}) minus {a}), from X = {0}
+        s = 1
+        for _ in range(spec.h):
+            s = (s if a else 0) | _add_members(spec, s, N, a)
+        missing = ~s & clip
+        last = missing.bit_length() - 1  # the largest miss, -1 for none
+        covered_from = last + 1 if last < N else None
         if covered_from is not None:
             evidence = f"evidence: covers [{covered_from}, {N}] on window"
         else:
             evidence = "evidence: misses persist up to the window bound"
         rows.append(RemovabilityRow(removed=a, covered_from=covered_from,
-                                    miss_count=len(misses), evidence=evidence))
+                                    miss_count=missing.bit_count(),
+                                    evidence=evidence))
     return rows

@@ -192,6 +192,16 @@ class TestExploreCommand:
         out = capsys.readouterr().out
         assert "evidence" in out
 
+    def test_negative_elem_bound_exits_2(self, capsys):
+        assert main(["explore", "--window", "300", "--elem-bound", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "element bound must be >= 0, got -3" in captured.err
+
+    def test_zero_elem_bound_scans_zero(self, capsys):
+        assert main(["explore", "--window", "300", "--elem-bound", "0"]) == 0
+        assert capsys.readouterr().out.count("  remove ") == 1
+
     def test_sweep_t(self, capsys):
         assert main(["explore", "--sweep-t", "1,2,3"]) == 0
         out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    count_reps_digitdp, hfold_sumset_window, load_preset,
                    min_t)
 from gadic import cli, repcount
-from gadic.repcount import _low_bits, _sumset_layers, sumset_gaps
+from gadic.repcount import _add_members, _low_bits, _sumset_layers, sumset_gaps
 from gadic.verifier import random_alternate_decomposition
 
 
@@ -102,21 +102,23 @@ def ordered_digitdp(spec: BasisSpec, n: DigitRep, h: int,
 
 
 QUOTIENTS = st.sampled_from([2, 3, 5])
+# 300 > N for the small windows: a digit whose x * g_j passes N stops early
+WIDE_QUOTIENTS = st.sampled_from([2, 3, 5, 300])
 
 
 @st.composite
-def configurations(draw, min_run: int = 1):
-    """A BasisSpec with h in {2, 3, 4}, quotients in {2, 3, 5}, a possibly
-    nonempty quotient and color prefix, and a period coloring that uses
-    every class in runs of at least `min_run`."""
+def configurations(draw, min_run: int = 1, quotients=QUOTIENTS):
+    """A BasisSpec with h in {2, 3, 4}, quotients drawn from `quotients`, a
+    possibly nonempty quotient and color prefix, and a period coloring that
+    uses every class in runs of at least `min_run`."""
     h = draw(st.sampled_from([2, 3, 4]))
     runs = [(c, draw(st.integers(min_run, min_run + 1))) for c in range(h)]
     runs += [(draw(st.integers(0, h - 1)), draw(st.integers(1, min_run)))
              for _ in range(draw(st.integers(0, 2)))]
     period_colors = [c for c, r in draw(st.permutations(runs)) for _ in range(r)]
     return BasisSpec(
-        seq=GadicSequence(period=draw(st.lists(QUOTIENTS, min_size=1, max_size=3)),
-                          prefix=draw(st.lists(QUOTIENTS, max_size=3))),
+        seq=GadicSequence(period=draw(st.lists(quotients, min_size=1, max_size=3)),
+                          prefix=draw(st.lists(quotients, max_size=3))),
         partition=PartitionSpec(
             h=h, period_colors=period_colors,
             prefix_colors=draw(st.lists(st.integers(0, h - 1), max_size=3))))
@@ -415,6 +417,75 @@ class TestSumsetLayers:
     def test_nonpositive_order_rejected(self):
         with pytest.raises(DomainError, match=r"^need h >= 1"):
             _sumset_layers(0b110, 10, 0)
+
+
+def kernel_layers(spec: BasisSpec, N: int) -> list[int]:
+    """kA for k = 1..h by repeated _add_members, starting from X = {0}."""
+    layers = [_add_members(spec, 1, N)]
+    for _ in range(spec.h - 1):
+        layers.append(_add_members(spec, layers[-1], N))
+    return layers
+
+
+def kernel_removal(spec: BasisSpec, N: int, a: int) -> int:
+    """h((A u {0}) minus {a}) over [0, N] by h steps of the kernel."""
+    s = 1
+    for _ in range(spec.h):
+        s = (s if a else 0) | _add_members(spec, s, N, a)
+    return s
+
+
+class TestAddMembers:
+    """The digit-position kernel against the member shift-OR oracle."""
+
+    @staticmethod
+    def windows(spec: BasisSpec) -> list[int]:
+        g1 = spec.seq.value(1)
+        return [spec.h, g1 - 1, g1, 4097]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=configurations(quotients=WIDE_QUOTIENTS))
+    def test_layers_match_member_shift_or(self, spec):
+        for N in self.windows(spec):
+            mask = spec.enumerate(N).mask
+            layers = kernel_layers(spec, N)
+            for k in range(1, spec.h + 1):
+                assert layers[k - 1] == hfold_sumset_window(mask, N, k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=configurations(quotients=WIDE_QUOTIENTS))
+    def test_every_removal_matches_member_shift_or(self, spec):
+        for N in self.windows(spec)[:3] + [400]:
+            window = spec.enumerate(N)
+            mask0 = window.mask | 1
+            for a in [0] + window.members:
+                assert kernel_removal(spec, N, a) \
+                    == hfold_sumset_window(mask0 & ~(1 << a), N, spec.h)
+
+    @pytest.mark.parametrize("period,N", [([300], 299), ([300], 300),
+                                          ([300], 4097), ([2, 300], 1199)])
+    def test_large_quotient(self, period, N):
+        spec = BasisSpec(seq=GadicSequence(period=period),
+                         partition=PartitionSpec(h=2, period_colors=[0, 1]))
+        window = spec.enumerate(N)
+        for k, layer in enumerate(kernel_layers(spec, N), 1):
+            assert layer == hfold_sumset_window(window.mask, N, k)
+        for a in window.members:
+            assert kernel_removal(spec, N, a) \
+                == hfold_sumset_window((window.mask | 1) & ~(1 << a), N, 2)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_layers(self, name):
+        spec, N = load_preset(name).basis, 4096
+        mask = spec.enumerate(N).mask
+        assert kernel_layers(spec, N) == _sumset_layers(mask, N, spec.h)
+
+    @pytest.mark.parametrize("a", [5, 6, 10**6])
+    def test_non_member_removes_nothing(self, binary_pairs, a):
+        # 5 = 1 + 4 has digits of both classes; 6 = 2 + 4 too; 10**6 > N
+        for X in (1, 0b1011):
+            assert _add_members(binary_pairs, X, 300, a) \
+                == _add_members(binary_pairs, X, 300)
 
 
 class TestPrefixInequality:

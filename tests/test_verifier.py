@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import gadic.repcount
 import gadic.verifier
 from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    HypothesisViolatedError, PartitionSpec, construct_witness,
@@ -51,6 +52,22 @@ def test_window_gaps_match_naive_scan(name):
     assert without.gaps == naive_window_gaps(spec, N)
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_window_checks_make_no_member_shifts(name, monkeypatch):
+    """Theorems 1 and 2 build their sumsets one digit position at a time:
+    neither enumerates members nor runs the member shift-OR."""
+    spec = load_preset(name).basis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("member route called")
+
+    monkeypatch.setattr(BasisSpec, "enumerate", refuse)
+    monkeypatch.setattr(gadic.repcount, "hfold_sumset_window", refuse)
+    monkeypatch.setattr(gadic.repcount, "_sumset_layers", refuse)
+    assert verify_theorem1(spec, 4096).passed
+    assert all(r.passed for r in verify_theorem2(spec, 4096))
+
+
 class TestTheorem2:
     def test_binary_pairs(self, binary_pairs):
         with_zero, without = verify_theorem2(binary_pairs, 5000)
@@ -69,7 +86,7 @@ def two_pass_theorem2(spec: BasisSpec, N: int):
     hA through verify_theorem1."""
     window = spec.enumerate(N)
     gaps = sumset_gaps(hfold_sumset_window(window.mask | 1, N, spec.h), N)
-    without = verify_theorem1(spec, N, window)
+    without = verify_theorem1(spec, N)
     return (gaps, gaps == []), (without.gaps, without.passed)
 
 
@@ -278,6 +295,45 @@ class TestRemovabilityScan:
         rows = removability_scan(binary_pairs, 500, elem_bound=1)
         row = {r.removed: r for r in rows}[1]
         assert row.miss_count > 2  # constructed witnesses (9, 13, ...) go missing
+
+    @pytest.mark.parametrize("bound", [-1, -3])
+    def test_negative_elem_bound_rejected(self, binary_pairs, bound):
+        with pytest.raises(DomainError, match=r"^element bound must be >= 0"):
+            removability_scan(binary_pairs, 100, elem_bound=bound)
+
+    def test_zero_elem_bound_scans_zero_only(self, binary_pairs):
+        rows = removability_scan(binary_pairs, 100, elem_bound=0)
+        assert [(r.removed, r.miss_count) for r in rows] == [(0, 2)]
+
+    @staticmethod
+    def member_route_rows(spec: BasisSpec, N: int) -> list[tuple]:
+        """(removed, covered_from, miss count) per removal, every member
+        removed in turn, from the member shift-OR and the gap list."""
+        window = spec.enumerate(N)
+        rows = []
+        for a in [0] + window.members:
+            mask = (window.mask | 1) & ~(1 << a)
+            misses = sumset_gaps(hfold_sumset_window(mask, N, spec.h), N)
+            covered = (0 if not misses else
+                       misses[-1] + 1 if misses[-1] < N else None)
+            rows.append((a, covered, len(misses)))
+        return rows
+
+    @staticmethod
+    def scan_rows(spec: BasisSpec, N: int) -> list[tuple]:
+        return [(r.removed, r.covered_from, r.miss_count)
+                for r in removability_scan(spec, N, elem_bound=N)]
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_removal_matches_member_route(self, name):
+        spec, N = load_preset(name).basis, 600
+        assert self.scan_rows(spec, N) == self.member_route_rows(spec, N)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(spec=configurations())
+    def test_random_configurations_match_member_route(self, spec):
+        for N in (spec.h, spec.seq.value(1), 300):
+            assert self.scan_rows(spec, N) == self.member_route_rows(spec, N)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_rows_match_naive_gap_extraction(self, name):
