@@ -22,6 +22,16 @@ class WindowTooLargeError(MemoryError):
     """Requested enumeration window exceeds the configured budget."""
 
 
+def _check_window(N: int) -> None:
+    """Refuse a window bound [0, N] with N < 1 or N > DEFAULT_WINDOW_LIMIT,
+    before any bit array of the window is built."""
+    if N < 1:
+        raise DomainError(f"window bound must be >= 1, got {N}")
+    if N > DEFAULT_WINDOW_LIMIT:
+        raise WindowTooLargeError(
+            f"window bound {N} exceeds limit {DEFAULT_WINDOW_LIMIT}")
+
+
 @dataclass
 class BasisSpec:
     """Full configuration: scale sequence, coloring, and order h."""
@@ -67,11 +77,7 @@ class BasisSpec:
         while they stay <= N.  The cost is proportional to the number of
         members.
         """
-        if N < 1:
-            raise DomainError(f"window bound must be >= 1, got {N}")
-        if N > DEFAULT_WINDOW_LIMIT:
-            raise WindowTooLargeError(
-                f"window bound {N} exceeds limit {DEFAULT_WINDOW_LIMIT}")
+        _check_window(N)
         seq, color = self.seq, self.partition.color
         # supports[i]: the values <= N (0 included) whose digits sit on class-i
         # indices below j.  All are < g_j, so the blocks x*g_j + v appended

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
-from .basis import BasisSpec, MemberWindow
+from .basis import BasisSpec, MemberWindow, _check_window
 
 @dataclass
 class RepCountResult:
@@ -46,23 +46,18 @@ def count_reps_bruteforce(window: MemberWindow, n: int, h: int,
 def hfold_sumset_window(mask: int, N: int, h: int) -> int:
     """Iterated shift-OR: bit n of the result is set iff n <= N is a sum of
     exactly h set bits (with repetition) of `mask`."""
-    return _sumset_layers(mask, N, h)[-1]
-
-
-def _sumset_layers(mask: int, N: int, h: int) -> list[int]:
-    """kA over [0, N] for k = 1..h, A the set bits of mask: each shift-OR
-    round shifts the last layer by every member, members x N/64 words."""
     if h < 1:
         raise DomainError(f"need h >= 1, got {h}")
     clip = (1 << (N + 1)) - 1
-    layers = [mask & clip]
-    shifts = _low_bits(layers[0])
+    mask &= clip
+    shifts = _low_bits(mask)
+    acc = mask
     for _ in range(h - 1):
         nxt = 0
         for s in shifts:
-            nxt |= layers[-1] << s
-        layers.append(nxt & clip)
-    return layers
+            nxt |= acc << s
+        acc = nxt & clip
+    return acc
 
 
 def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
@@ -79,8 +74,10 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
     of class i0 with top index M0 splits its own piece into one box per
     class-i0 index k <= M0: a's digits above k, a digit other than a's at
     k (nonzero at M0), and any class-i0 digits below k.  An a that is not
-    a member removes nothing.
+    a member removes nothing.  N above DEFAULT_WINDOW_LIMIT is refused
+    (WindowTooLargeError) before any bit array is built.
     """
+    _check_window(N)
     seq = spec.seq
     top = seq.leading_index(N)
     quots, colors = spec._positions(top + 1)

@@ -5,6 +5,7 @@ import pytest
 
 import gadic.verifier
 from gadic import ConfigError, PRESETS, RepCountResult, RunConfig, load_preset
+from gadic.basis import DEFAULT_WINDOW_LIMIT
 from gadic.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,6 +79,22 @@ class TestCheckCommand:
         # an explicit 0 is not replaced by the configured window
         assert main(["check", which, "--window", "0"]) == 2
         assert "pass" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
+    def test_window_above_limit_exits_4(self, which, tmp_path, capsys):
+        too_large = DEFAULT_WINDOW_LIMIT + 1
+        message = (f"window infeasible: window bound {too_large} exceeds "
+                   f"limit {DEFAULT_WINDOW_LIMIT}\n")
+        assert main(["check", which, "--window", str(too_large)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+        # the same bound from a configuration file
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text(PRESETS["binary-h2"].replace(
+            "window = 5000", f"window = {too_large}"))
+        assert main(["check", which, "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
 
     @pytest.mark.parametrize("which", ["lemma1", "lemma2"])
     @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -191,6 +208,13 @@ class TestExploreCommand:
         assert main(["explore", "--window", "300", "--elem-bound", "2"]) == 0
         out = capsys.readouterr().out
         assert "evidence" in out
+
+    def test_window_above_limit_exits_4(self, capsys):
+        too_large = str(DEFAULT_WINDOW_LIMIT + 1)
+        assert main(["explore", "--window", too_large]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("window infeasible: ")
 
     def test_negative_elem_bound_exits_2(self, capsys):
         assert main(["explore", "--window", "300", "--elem-bound", "-3"]) == 2

@@ -10,9 +10,10 @@ from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    GadicSequence, PartitionSpec, check_prefix_inequality,
                    construct_witness, count_reps_bruteforce,
                    count_reps_digitdp, hfold_sumset_window, load_preset,
-                   min_t)
+                   min_t, WindowTooLargeError)
 from gadic import cli, repcount
-from gadic.repcount import _add_members, _low_bits, _sumset_layers, sumset_gaps
+from gadic.basis import DEFAULT_WINDOW_LIMIT
+from gadic.repcount import _add_members, _low_bits, sumset_gaps
 from gadic.verifier import random_alternate_decomposition
 
 
@@ -395,28 +396,37 @@ class TestHfoldSumset:
             assert bool((s >> n) & 1) == positive
 
 
+def naive_sumset(mask: int, N: int, k: int) -> int:
+    """The k-fold sumset of the set bits of mask over [0, N], by sets."""
+    base = {m for m in mask_to_set(mask) if m <= N}
+    acc = base
+    for _ in range(k - 1):
+        acc = {s + m for s in acc for m in base if s + m <= N}
+    return sum(1 << n for n in acc)
+
+
 class TestSumsetLayers:
+    """The member shift-OR against set-by-set sums, one order k at a time."""
+
     @settings(max_examples=150, deadline=None)
     @given(N=st.integers(0, 300), h=st.integers(1, 4), data=st.data())
     def test_layer_k_is_the_k_fold_sumset(self, N, h, data):
         mask = data.draw(st.integers(0, (1 << (N + 40)) - 1), label="mask")
-        layers = _sumset_layers(mask, N, h)
-        assert len(layers) == h
         for k in range(1, h + 1):
-            assert layers[k - 1] == hfold_sumset_window(mask, N, k)
-            assert layers[k - 1] < 1 << (N + 1)  # clipped to the window
+            layer = hfold_sumset_window(mask, N, k)
+            assert layer == naive_sumset(mask, N, k)
+            assert layer < 1 << (N + 1)  # clipped to the window
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_layers(self, name):
-        spec, N = load_preset(name).basis, 4096
+        spec, N = load_preset(name).basis, 1024
         mask = spec.enumerate(N).mask
-        layers = _sumset_layers(mask, N, spec.h)
         for k in range(1, spec.h + 1):
-            assert layers[k - 1] == hfold_sumset_window(mask, N, k)
+            assert hfold_sumset_window(mask, N, k) == naive_sumset(mask, N, k)
 
     def test_nonpositive_order_rejected(self):
         with pytest.raises(DomainError, match=r"^need h >= 1"):
-            _sumset_layers(0b110, 10, 0)
+            hfold_sumset_window(0b110, 10, 0)
 
 
 def kernel_layers(spec: BasisSpec, N: int) -> list[int]:
@@ -478,7 +488,13 @@ class TestAddMembers:
     def test_preset_layers(self, name):
         spec, N = load_preset(name).basis, 4096
         mask = spec.enumerate(N).mask
-        assert kernel_layers(spec, N) == _sumset_layers(mask, N, spec.h)
+        assert kernel_layers(spec, N) == [hfold_sumset_window(mask, N, k)
+                                          for k in range(1, spec.h + 1)]
+
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_window_above_limit_refused(self, binary_pairs, a):
+        with pytest.raises(WindowTooLargeError):
+            _add_members(binary_pairs, 1, DEFAULT_WINDOW_LIMIT + 1, a)
 
     @pytest.mark.parametrize("a", [5, 6, 10**6])
     def test_non_member_removes_nothing(self, binary_pairs, a):

@@ -63,7 +63,6 @@ def test_window_checks_make_no_member_shifts(name, monkeypatch):
 
     monkeypatch.setattr(BasisSpec, "enumerate", refuse)
     monkeypatch.setattr(gadic.repcount, "hfold_sumset_window", refuse)
-    monkeypatch.setattr(gadic.repcount, "_sumset_layers", refuse)
     assert verify_theorem1(spec, 4096).passed
     assert all(r.passed for r in verify_theorem2(spec, 4096))
 
