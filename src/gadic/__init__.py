@@ -9,8 +9,7 @@ from .partition import (HypothesisViolatedError, IntervalFamilies,
                         PartitionSpec, detect_interval_families, min_t)
 from .basis import BasisSpec, MemberWindow, WindowTooLargeError
 from .repcount import (RepCountResult, check_prefix_inequality,
-                       count_reps_bruteforce, count_reps_digitdp,
-                       hfold_sumset_window)
+                       count_reps_bruteforce, count_reps_digitdp)
 from .verifier import (BasisReport, MinimalityBatch, WitnessCertificate,
                        check_lemma1, check_lemma2, construct_witness,
                        cross_check_witness, removability_scan,
@@ -26,7 +25,6 @@ __all__ = [
     "WitnessCertificate", "check_lemma1", "check_lemma2",
     "check_prefix_inequality", "construct_witness", "count_reps_bruteforce",
     "count_reps_digitdp", "cross_check_witness", "detect_interval_families",
-    "hfold_sumset_window", "load_preset", "min_t",
-    "removability_scan", "verify_minimality", "verify_theorem1",
-    "verify_theorem2", "verify_witness",
+    "load_preset", "min_t", "removability_scan", "verify_minimality",
+    "verify_theorem1", "verify_theorem2", "verify_witness",
 ]

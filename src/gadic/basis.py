@@ -1,13 +1,13 @@
-"""Membership and window enumeration for monochromatic-support sets.
+"""Membership and window generation for monochromatic-support sets.
 
 A positive integer belongs to the constructed set exactly when the support
 of its canonical digit expansion is nonempty and single-colored.  A single
-membership query reads the canonical representation; a window is generated
-from the single-colored digit supports directly.
+membership query reads the canonical representation; every window form of
+the set (its members, and X + A for a window bit array X) comes from one
+digit-box kernel, `_add_members`.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .core import DigitRep, DomainError, GadicSequence
@@ -30,6 +30,73 @@ def _check_window(N: int) -> None:
     if N > DEFAULT_WINDOW_LIMIT:
         raise WindowTooLargeError(
             f"window bound {N} exceeds limit {DEFAULT_WINDOW_LIMIT}")
+
+
+def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
+    """X + (A minus {a}) over [0, N] >= 1, A the members of spec, X a bit
+    array.
+
+    The class-i members with top digit at index m are the digit box
+    [1, d-1]*g_m + (class-i digits below m), so one walk over the indices
+    j with g_j <= N builds X + A: per class, Y = X + (its digit box below
+    j), and at a class-c index the piece OR_x Y_c << x*g_j (x*g_j <= N)
+    joins the output and Y_c.  Cost: sum of (d - 1) shifts over those
+    indices, O(N/64) words each, however many members there are (the
+    member route, repcount.hfold_sumset_window, is the tests' oracle).
+    From X = {0} one round gives the member mask itself.  A member a of
+    class i0 with top index M0 splits its own piece into one box per
+    class-i0 index k <= M0: a's digits above k, a digit other than a's at
+    k (nonzero at M0), and any class-i0 digits below k.  An a that is not
+    a member removes nothing.  N above DEFAULT_WINDOW_LIMIT is refused
+    (WindowTooLargeError) before any bit array is built.
+    """
+    _check_window(N)
+    seq = spec.seq
+    top = seq.leading_index(N)
+    quots, colors = spec._positions(top + 1)
+    g = seq._cache  # grown past N by leading_index
+    clip = (1 << (N + 1)) - 1
+    # the indices of a's nonzero digits
+    support = [j for j in range(top + 1) if a % g[j + 1] >= g[j]] if a <= N else []
+    classes = {colors[j] for j in support}
+    i0 = classes.pop() if len(classes) == 1 else None
+    M0 = support[-1] if i0 is not None else -1
+    Y = [X & clip] * spec.h
+    out = 0
+    for j in range(top + 1):
+        c, d, gj = colors[j], quots[j], g[j]
+        y = Y[c]
+        part = 0
+        for x in range(1, d):
+            if x * gj > N:
+                break
+            part |= y << x * gj
+        part &= clip
+        Y[c] = y | part
+        if c != i0 or j != M0:
+            out |= part
+        if c == i0 and j <= M0:
+            above = a - a % g[j + 1]  # a's digits above j
+            own = a // gj % d
+            for x in range(0 if j < M0 else 1, d):
+                if above + x * gj > N:
+                    break
+                if x != own:
+                    out |= y << above + x * gj
+    return out & clip
+
+
+def _low_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask >= 0, ascending: one conversion to
+    a binary string, then one C-level search per set bit from the low end."""
+    bits = format(mask, "b")
+    top = len(bits) - 1
+    out = []
+    i = bits.rfind("1")
+    while i >= 0:
+        out.append(top - i)
+        i = bits.rfind("1", 0, i)
+    return out
 
 
 @dataclass
@@ -69,37 +136,10 @@ class BasisSpec:
                        self.partition.period_colors))
 
     def enumerate(self, N: int) -> "MemberWindow":
-        """All members in [1, N], as a sorted list plus a bit array.
-
-        Members are generated from their digit supports rather than found by
-        classifying every n: per class, the values built from the indices of
-        that color are extended one index at a time with digits in [1, d-1]
-        while they stay <= N.  The cost is proportional to the number of
-        members.
-        """
-        _check_window(N)
-        seq, color = self.seq, self.partition.color
-        # supports[i]: the values <= N (0 included) whose digits sit on class-i
-        # indices below j.  All are < g_j, so the blocks x*g_j + v appended
-        # for x = 1, 2, ... (v from the list as it was before index j) keep
-        # the list sorted and produce each value once.
-        supports: list[list[int]] = [[0] for _ in range(self.h)]
-        for j in range(seq.leading_index(N) + 1):
-            vals = supports[color(j)]
-            old = len(vals)
-            g = seq.value(j)
-            for x in range(1, seq.quotient(j + 1)):
-                base = x * g
-                if base > N:
-                    break
-                vals += [base + v
-                         for v in vals[:bisect_right(vals, N - base, 0, old)]]
-        members = sorted(v for vals in supports for v in vals[1:])
-        bits = bytearray((N + 8) // 8)
-        for m in members:
-            bits[m >> 3] |= 1 << (m & 7)
-        return MemberWindow(N=N, members=members,
-                            mask=int.from_bytes(bits, "little"))
+        """All members in [1, N], as a sorted list plus a bit array: one
+        round of the digit-box kernel from X = {0}."""
+        mask = _add_members(self, 1, N)
+        return MemberWindow(N=N, members=_low_bits(mask), mask=mask)
 
     def serialize(self) -> str:
         return f"{self.seq.serialize()}|{self.partition.serialize()}"

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success/pass, 1 check or certification failure, 2 parse or
-domain error, 3 hypothesis violation, 4 window infeasible.
+Exit codes: 0 success/pass, 1 check or certification failure, 2 parse,
+domain or file error, 3 hypothesis violation, 4 window infeasible.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ EXIT_HYPOTHESIS = 3
 EXIT_WINDOW = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="run configuration file")
@@ -164,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
             "explore": cmd_explore,
         }[args.command]
         return handler(cfg, args)
-    except (ConfigError, DomainError, ValueError) as exc:
+    except (ConfigError, DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisViolatedError as exc:

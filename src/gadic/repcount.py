@@ -3,7 +3,9 @@
 Two independent routes: an exhaustive window brute force (the oracle, for
 small n) and a digit-level dynamic program whose state is the additive
 carry plus the multiset of summand class commitments (scales to
-arbitrarily large n).
+arbitrarily large n).  Window sumsets come from the digit-box kernel in
+`basis`; here are the gap reader and the member shift-OR the tests check
+that kernel against.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
-from .basis import BasisSpec, MemberWindow, _check_window
+from .basis import BasisSpec, MemberWindow, _low_bits
 
 @dataclass
 class RepCountResult:
@@ -60,77 +62,11 @@ def hfold_sumset_window(mask: int, N: int, h: int) -> int:
     return acc
 
 
-def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
-    """X + (A minus {a}) over [0, N] >= 1, A the members of spec, X a bit
-    array.
-
-    The class-i members with top digit at index m are the digit box
-    [1, d-1]*g_m + (class-i digits below m), so one walk over the indices
-    j with g_j <= N builds X + A: per class, Y = X + (its digit box below
-    j), and at a class-c index the piece OR_x Y_c << x*g_j (x*g_j <= N)
-    joins the output and Y_c.  Cost: sum of (d - 1) shifts over those
-    indices, O(N/64) words each, however many members there are (the
-    member route, hfold_sumset_window, is the tests' oracle).  A member a
-    of class i0 with top index M0 splits its own piece into one box per
-    class-i0 index k <= M0: a's digits above k, a digit other than a's at
-    k (nonzero at M0), and any class-i0 digits below k.  An a that is not
-    a member removes nothing.  N above DEFAULT_WINDOW_LIMIT is refused
-    (WindowTooLargeError) before any bit array is built.
-    """
-    _check_window(N)
-    seq = spec.seq
-    top = seq.leading_index(N)
-    quots, colors = spec._positions(top + 1)
-    g = seq._cache  # grown past N by leading_index
-    clip = (1 << (N + 1)) - 1
-    # the indices of a's nonzero digits
-    support = [j for j in range(top + 1) if a % g[j + 1] >= g[j]] if a <= N else []
-    classes = {colors[j] for j in support}
-    i0 = classes.pop() if len(classes) == 1 else None
-    M0 = support[-1] if i0 is not None else -1
-    Y = [X & clip] * spec.h
-    out = 0
-    for j in range(top + 1):
-        c, d, gj = colors[j], quots[j], g[j]
-        y = Y[c]
-        part = 0
-        for x in range(1, d):
-            if x * gj > N:
-                break
-            part |= y << x * gj
-        part &= clip
-        Y[c] = y | part
-        if c != i0 or j != M0:
-            out |= part
-        if c == i0 and j <= M0:
-            above = a - a % g[j + 1]  # a's digits above j
-            own = a // gj % d
-            for x in range(0 if j < M0 else 1, d):
-                if above + x * gj > N:
-                    break
-                if x != own:
-                    out |= y << above + x * gj
-    return out & clip
-
-
 def sumset_gaps(sumset: int, N: int) -> list[int]:
     """The n in [0, N] missing from a window sumset bit array (from
-    `_add_members` or `hfold_sumset_window`), ascending, read off the
+    `basis._add_members` or `hfold_sumset_window`), ascending, read off the
     complement: O(N/64) in C plus O(gaps) in Python."""
     return _low_bits(~sumset & ((1 << (N + 1)) - 1))
-
-
-def _low_bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask >= 0, ascending: one conversion to
-    a binary string, then one C-level search per set bit from the low end."""
-    bits = format(mask, "b")
-    top = len(bits) - 1
-    out = []
-    i = bits.rfind("1")
-    while i >= 0:
-        out.append(top - i)
-        i = bits.rfind("1", 0, i)
-    return out
 
 
 # Status of a summand that has no nonzero digit yet; sorts before every class.

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .core import DigitRep, DomainError
-from .basis import BasisSpec, MemberWindow
+from .basis import BasisSpec, MemberWindow, _add_members
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
-from .repcount import _add_members, check_prefix_inequality, \
-    count_reps_bruteforce, count_reps_digitdp, sumset_gaps
+from .repcount import check_prefix_inequality, count_reps_bruteforce, \
+    count_reps_digitdp, sumset_gaps
 
 
 @dataclass
@@ -91,34 +91,36 @@ def _window_report(sumset: int, N: int, expected: list[int],
     return BasisReport(gaps, gaps == expected, time.perf_counter() - t0)
 
 
-def _window_layers(spec: BasisSpec, N: int) -> list[int]:
-    """kA over [0, N] for k = 1..h, each layer the last plus A."""
-    if N < spec.h:
-        raise DomainError(f"window bound {N} below order {spec.h}")
-    layers = [_add_members(spec, 1, N)]
-    for _ in range(spec.h - 1):
-        layers.append(_add_members(spec, layers[-1], N))
-    return layers
+def _hfold(spec: BasisSpec, N: int, a: int = 0) -> tuple[int, int]:
+    """(h(B u {0}), hB) over [0, N], B = A minus {a} (a = 0 removes
+    nothing): h rounds of the kernel from X = {0} give the layers kB for
+    k = 1..h, hB last, and h(B u {0}) = {0} u kB (k = 1..h)."""
+    layer = cover = 1
+    for _ in range(spec.h):
+        layer = _add_members(spec, layer, N, a)
+        cover |= layer
+    return cover, layer
 
 
 def verify_theorem1(spec: BasisSpec, N: int) -> BasisReport:
     """Pass iff the h-fold sumset over [0, N] misses exactly [0, h-1]."""
     t0 = time.perf_counter()
-    hA = _window_layers(spec, N)[-1]
+    if N < spec.h:
+        raise DomainError(f"window bound {N} below order {spec.h}")
+    hA = _hfold(spec, N)[1]
     return _window_report(hA, N, list(range(spec.h)), t0)
 
 
 def verify_theorem2(spec: BasisSpec, N: int) -> tuple[BasisReport, BasisReport]:
     """(a) with 0 adjoined the h-fold sumset covers [0, N] entirely;
     (b) removing 0 again restores exactly the order-h gap set.  One pass
-    gives both: h(A u {0}) = {0} u kA (k = 1..h), hA last."""
+    gives both: h(A u {0}) and hA."""
     t0 = time.perf_counter()
-    layers = _window_layers(spec, N)
-    cover = 1
-    for layer in layers:
-        cover |= layer
+    if N < spec.h:
+        raise DomainError(f"window bound {N} below order {spec.h}")
+    cover, hA = _hfold(spec, N)
     return (_window_report(cover, N, [], t0),
-            _window_report(layers[-1], N, list(range(spec.h)), t0))
+            _window_report(hA, N, list(range(spec.h)), t0))
 
 
 _OVERRIDE_HINT = " (pass override to force)"  # ends the threshold message
@@ -379,11 +381,9 @@ def removability_scan(spec: BasisSpec, N: int,
     clip = (1 << (N + 1)) - 1
     rows = []
     for a in elements:
-        # h steps of X <- X + ((A u {0}) minus {a}), from X = {0}
-        s = 1
-        for _ in range(spec.h):
-            s = (s if a else 0) | _add_members(spec, s, N, a)
-        missing = ~s & clip
+        # h((A u {0}) minus {a}): removing 0 leaves hA
+        cover, hB = _hfold(spec, N, a)
+        missing = ~(cover if a else hB) & clip
         last = missing.bit_length() - 1  # the largest miss, -1 for none
         covered_from = last + 1 if last < N else None
         if covered_from is not None:

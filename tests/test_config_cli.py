@@ -154,6 +154,18 @@ class TestCheckCommand:
                                 f"missing key {key!r}\n")
 
 
+    @pytest.mark.parametrize("name", ["absent.cfg", "."], ids=["missing",
+                                                              "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert main(["check", "theorem1", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert str(path) in captured.err
+
+
 class TestMinimalityCommand:
     def test_writes_certificates(self, tmp_path, capsys):
         code = main(["minimality", "--budget", "2", "--witnesses", "2",
@@ -164,6 +176,17 @@ class TestMinimalityCommand:
         assert all(f.startswith("cert_") for f in files)
         body = (tmp_path / files[0]).read_text()
         assert "verdict: certified" in body
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["minimality", "--budget", "1", "--witnesses", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1  # one line, no traceback
+        assert str(out) in err
+        assert out.read_text() == ""
 
     def test_t_below_threshold_exits_3(self):
         assert main(["minimality", "--t", "1"]) == 3

@@ -9,12 +9,21 @@ from hypothesis import given, settings, strategies as st
 from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    GadicSequence, PartitionSpec, check_prefix_inequality,
                    construct_witness, count_reps_bruteforce,
-                   count_reps_digitdp, hfold_sumset_window, load_preset,
-                   min_t, WindowTooLargeError)
+                   count_reps_digitdp, load_preset, min_t,
+                   WindowTooLargeError)
 from gadic import cli, repcount
-from gadic.basis import DEFAULT_WINDOW_LIMIT
-from gadic.repcount import _add_members, _low_bits, sumset_gaps
+from gadic.basis import DEFAULT_WINDOW_LIMIT, _add_members, _low_bits
+from gadic.repcount import hfold_sumset_window, sumset_gaps
 from gadic.verifier import random_alternate_decomposition
+from test_basis import members_by_classify
+
+
+def classify_window(spec: BasisSpec, N: int) -> tuple[list[int], int]:
+    """The members in [1, N] and their bit array, found by classifying
+    every n: independent of the digit-box kernel, whose first round is
+    `enumerate`."""
+    members = members_by_classify(spec, N)
+    return members, sum(1 << n for n in members)
 
 
 def mask_to_set(mask: int) -> set[int]:
@@ -457,7 +466,7 @@ class TestAddMembers:
     @given(spec=configurations(quotients=WIDE_QUOTIENTS))
     def test_layers_match_member_shift_or(self, spec):
         for N in self.windows(spec):
-            mask = spec.enumerate(N).mask
+            _, mask = classify_window(spec, N)
             layers = kernel_layers(spec, N)
             for k in range(1, spec.h + 1):
                 assert layers[k - 1] == hfold_sumset_window(mask, N, k)
@@ -466,28 +475,27 @@ class TestAddMembers:
     @given(spec=configurations(quotients=WIDE_QUOTIENTS))
     def test_every_removal_matches_member_shift_or(self, spec):
         for N in self.windows(spec)[:3] + [400]:
-            window = spec.enumerate(N)
-            mask0 = window.mask | 1
-            for a in [0] + window.members:
+            members, mask = classify_window(spec, N)
+            for a in [0] + members:
                 assert kernel_removal(spec, N, a) \
-                    == hfold_sumset_window(mask0 & ~(1 << a), N, spec.h)
+                    == hfold_sumset_window((mask | 1) & ~(1 << a), N, spec.h)
 
     @pytest.mark.parametrize("period,N", [([300], 299), ([300], 300),
                                           ([300], 4097), ([2, 300], 1199)])
     def test_large_quotient(self, period, N):
         spec = BasisSpec(seq=GadicSequence(period=period),
                          partition=PartitionSpec(h=2, period_colors=[0, 1]))
-        window = spec.enumerate(N)
+        members, mask = classify_window(spec, N)
         for k, layer in enumerate(kernel_layers(spec, N), 1):
-            assert layer == hfold_sumset_window(window.mask, N, k)
-        for a in window.members:
+            assert layer == hfold_sumset_window(mask, N, k)
+        for a in members:
             assert kernel_removal(spec, N, a) \
-                == hfold_sumset_window((window.mask | 1) & ~(1 << a), N, 2)
+                == hfold_sumset_window((mask | 1) & ~(1 << a), N, 2)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_layers(self, name):
         spec, N = load_preset(name).basis, 4096
-        mask = spec.enumerate(N).mask
+        _, mask = classify_window(spec, N)
         assert kernel_layers(spec, N) == [hfold_sumset_window(mask, N, k)
                                           for k in range(1, spec.h + 1)]
 

@@ -5,12 +5,11 @@ import gadic.repcount
 import gadic.verifier
 from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    HypothesisViolatedError, PartitionSpec, construct_witness,
-                   count_reps_bruteforce, cross_check_witness,
-                   hfold_sumset_window, load_preset, removability_scan,
-                   verify_minimality, verify_theorem1, verify_theorem2,
-                   verify_witness)
-from gadic.repcount import sumset_gaps
-from test_repcount import configurations
+                   count_reps_bruteforce, cross_check_witness, load_preset,
+                   removability_scan, verify_minimality, verify_theorem1,
+                   verify_theorem2, verify_witness)
+from gadic.repcount import hfold_sumset_window, sumset_gaps
+from test_repcount import classify_window, configurations
 
 
 def naive_window_gaps(spec: BasisSpec, N: int, adjoin_zero: bool = False,
@@ -307,11 +306,12 @@ class TestRemovabilityScan:
     @staticmethod
     def member_route_rows(spec: BasisSpec, N: int) -> list[tuple]:
         """(removed, covered_from, miss count) per removal, every member
-        removed in turn, from the member shift-OR and the gap list."""
-        window = spec.enumerate(N)
+        removed in turn, from members found by classify, the member
+        shift-OR and the gap list."""
+        members, mask0 = classify_window(spec, N)
         rows = []
-        for a in [0] + window.members:
-            mask = (window.mask | 1) & ~(1 << a)
+        for a in [0] + members:
+            mask = (mask0 | 1) & ~(1 << a)
             misses = sumset_gaps(hfold_sumset_window(mask, N, spec.h), N)
             covered = (0 if not misses else
                        misses[-1] + 1 if misses[-1] < N else None)
