@@ -132,9 +132,18 @@ def cmd_minimality(cfg: RunConfig, args) -> int:
 
 def cmd_explore(cfg: RunConfig, args) -> int:
     N = args.window if args.window is not None else cfg.window
-    if args.sweep_t:
+    if args.sweep_t is not None:
+        # the whole list is checked before the first row is printed
+        try:
+            ts = [int(x) for x in args.sweep_t.split(",")]
+        except ValueError:
+            raise ValueError("--sweep-t expects comma-separated integers, "
+                             f"got {args.sweep_t!r}") from None
+        for t in ts:
+            if t < 1:
+                raise DomainError(f"--sweep-t values must be >= 1, got t={t}")
         code = EXIT_OK
-        for t in (int(x) for x in args.sweep_t.split(",")):
+        for t in ts:
             try:
                 batch = verify_minimality(cfg.basis, t=t, K=min(cfg.budget, 5), W=1)
             except HypothesisViolatedError as exc:

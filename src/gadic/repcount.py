@@ -148,6 +148,44 @@ def _advance(set_id: int, d: int, c: int, r: int, h: int
     return _intern(states), tuple((s, index[key], m) for s, key, m in moves)
 
 
+# A DP state between positions: (live set id, ways per live state, most
+# live states at a position so far).
+_DPState = tuple[int, list[int], int]
+
+
+def _dp_start(h: int) -> _DPState:
+    """The state below position 0: carry 0, every summand EMPTY."""
+    return _intern(((0, (EMPTY,) * h),)), [1], 1
+
+
+def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
+              lo: int, hi: int, h: int) -> _DPState:
+    """Advance `state` over positions [lo, hi), where position j has
+    quotient quots[j], class colors[j] and n's digit digit(j, 0).  Stops
+    early once the live set is empty (it stays empty)."""
+    set_id, ways, peak = state
+    for j in range(lo, hi):
+        set_id, edges = _advance(set_id, quots[j], colors[j], digit(j, 0), h)
+        ways, prev = [0] * len(_SETS[set_id]), ways
+        for s, t, mult in edges:
+            ways[t] += prev[s] * mult
+        if len(ways) > peak:
+            peak = len(ways)
+        elif not ways:
+            break
+    return set_id, ways, peak
+
+
+def _dp_accept(state: _DPState, zero_allowed: bool) -> RepCountResult:
+    """The count of a state past the top digit of n."""
+    set_id, ways, peak = state
+    # every summand is <= n < g_{top+1}, so their digits above top are 0 and
+    # a nonzero carry out of the top digit would make the sum exceed n
+    count = sum(w for (carry, sts), w in zip(_SETS[set_id], ways)
+                if carry == 0 and (zero_allowed or EMPTY not in sts))
+    return RepCountResult(count, peak_states=peak)
+
+
 def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
                        zero_allowed: bool = False) -> RepCountResult:
     """Exact ordered representation count via a carry/commitment DP.
@@ -164,23 +202,8 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
         raise DomainError(f"need h >= 2, got {h}")
     top = n.max_index() if not n.is_zero() else -1
     quots, colors = spec._positions(top + 1)
-    digit = n.digits.get
-    set_id, ways, peak = _intern(((0, (EMPTY,) * h),)), [1], 1
-    for j in range(top + 1):
-        set_id, edges = _advance(set_id, quots[j], colors[j], digit(j, 0), h)
-        ways, prev = [0] * len(_SETS[set_id]), ways
-        for s, t, mult in edges:
-            ways[t] += prev[s] * mult
-        if len(ways) > peak:
-            peak = len(ways)
-        elif not ways:
-            break
-
-    # every summand is <= n < g_{top+1}, so their digits above top are 0 and
-    # a nonzero carry out of the top digit would make the sum exceed n
-    count = sum(w for (carry, sts), w in zip(_SETS[set_id], ways)
-                if carry == 0 and (zero_allowed or EMPTY not in sts))
-    return RepCountResult(count, peak_states=peak)
+    state = _dp_steps(_dp_start(h), quots, colors, n.digits.get, 0, top + 1, h)
+    return _dp_accept(state, zero_allowed)
 
 
 @dataclass

@@ -12,7 +12,6 @@ import itertools
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -20,8 +19,8 @@ from .core import DigitRep, DomainError
 from .basis import BasisSpec, MemberWindow, _add_members
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
-from .repcount import check_prefix_inequality, count_reps_bruteforce, \
-    count_reps_digitdp, sumset_gaps
+from .repcount import _dp_accept, _dp_start, _dp_steps, \
+    check_prefix_inequality, count_reps_bruteforce, sumset_gaps
 
 
 @dataclass
@@ -158,39 +157,54 @@ def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
     fams = _interval_families(spec, t, override)
     if W < 1:
         raise DomainError(f"need W >= 1, got W={W}")
-    return _witnesses(spec, t, a, W, fams)
+    return _witnesses(spec, t, a, W, fams, spec_hash(spec, t))
 
 
 def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
-               fams: IntervalFamilies) -> list[WitnessCertificate]:
-    """construct_witness past its checks, on the caller's interval families."""
+               fams: IntervalFamilies, key: str) -> list[WitnessCertificate]:
+    """construct_witness past its checks, on the caller's interval families
+    and config hash.  The W witnesses share every digit below their
+    smallest M_i (a's digits and the other classes' maximal digits below
+    M0), so that part is merged and evaluated once; each witness adds only
+    its M_i."""
     rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
     M0 = rep_a.max_index()
-    maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]  # digits below M0
+    seq = spec.seq
+    seq.value(M0)
+    g, own = seq._cache, rep_a.digits
+    # class i's maximal digits below M0 and their value; `shared` merges
+    # them with a's digits, ascending
+    maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]
+    base = [0] * spec.h
+    shared: dict[int, int] = {}
     for j, (d, c) in enumerate(zip(*spec._positions(M0))):
-        maximal[c][j] = d - 1
+        if c == i0:
+            if j in own:
+                shared[j] = own[j]
+        elif j in own:
+            raise RuntimeError("witness construction bug: summand "
+                               f"supports overlap at index {j}")
+        else:
+            maximal[c][j] = shared[j] = d - 1
+            base[c] += (d - 1) * g[j]
+    shared[M0] = own[M0]
     gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
-    key = spec_hash(spec, t)
 
     certs = []
     for _ in range(W):
-        chosen = {i: next(g) for i, g in gens.items()}
+        chosen = {i: next(gen) for i, gen in gens.items()}
         summands = {i0: rep_a}
         for i, Mi in chosen.items():
             # ascending: every maximal index is below M0 < Mi
             summands[i] = DigitRep._trusted({**maximal[i], Mi: 1})
-        merged: dict[int, int] = {}
-        for rep in summands.values():
-            for j, x in rep.digits.items():
-                if j in merged:
-                    raise RuntimeError("witness construction bug: summand "
-                                       f"supports overlap at index {j}")
-                merged[j] = x
-        n_rep = DigitRep(merged)
-        n_value = spec.seq.evaluate(n_rep)
-        values = sorted(spec.seq.evaluate(rep) for rep in summands.values())
+        digits = dict(shared)
+        for Mi in sorted(chosen.values()):
+            digits[Mi] = 1
+        n_rep = DigitRep._trusted(digits)
+        n_value = seq.evaluate(n_rep)
+        values = sorted([a] + [base[i] + seq.value(Mi) for i, Mi in chosen.items()])
         if n_value != sum(values):
             raise RuntimeError(f"witness construction bug: digits of n={n_value} "
                                "do not sum the summands")
@@ -210,21 +224,42 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     the removed element is in the multiset, n has no representation over the
     set with a removed.
     """
-    values = cert.multiset
-    expected = math.factorial(spec.h)
-    for m in Counter(values).values():
-        expected //= math.factorial(m)
-    measured = count_reps_digitdp(spec, cert.n_rep, spec.h,
-                                  zero_allowed=False).ordered_count
-    if measured < expected:
-        raise RuntimeError(
-            f"counting engine bug: measured {measured} < expected {expected} "
-            f"but the constructed representation exists")
-    cert.expected_count = expected
-    cert.measured_count = measured
-    cert.verdict = "certified" if (measured == expected
-                                   and cert.removed in values) else "failed"
-    return cert
+    return _certify(spec, [cert])[0]
+
+
+def _certify(spec: BasisSpec, certs: list[WitnessCertificate]
+             ) -> list[WitnessCertificate]:
+    """verify_witness on witnesses that share their digits below
+    L = min M_i of the first: the digit DP runs over [0, L) once and
+    resumes from that state for each witness.  A witness whose digits
+    below L differ from the first's is a construction bug."""
+    h = spec.h
+    L = min(certs[0].chosen_Ms.values())
+    prefix = {j: x for j, x in certs[0].n_rep.items() if j < L}
+    top = max(cert.n_rep.max_index() for cert in certs)
+    quots, colors = spec._positions(top + 1)
+    shared = _dp_steps(_dp_start(h), quots, colors, prefix.get, 0, L, h)
+    for cert in certs:
+        digits = cert.n_rep.digits
+        if {j: x for j, x in digits.items() if j < L} != prefix:
+            raise RuntimeError(f"witness construction bug: n={cert.n_value} "
+                               f"does not share the digits below {L}")
+        state = _dp_steps(shared, quots, colors, digits.get, L,
+                          cert.n_rep.max_index() + 1, h)
+        measured = _dp_accept(state, zero_allowed=False).ordered_count
+        values = cert.multiset
+        expected = math.factorial(h)
+        for v in set(values):
+            expected //= math.factorial(values.count(v))
+        if measured < expected:
+            raise RuntimeError(
+                f"counting engine bug: measured {measured} < expected {expected} "
+                f"but the constructed representation exists")
+        cert.expected_count = expected
+        cert.measured_count = measured
+        cert.verdict = "certified" if (measured == expected
+                                       and cert.removed in values) else "failed"
+    return certs
 
 
 def cross_check_witness(spec: BasisSpec, cert: WitnessCertificate,
@@ -278,9 +313,9 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     members = window.members[:K]
 
     batch = MinimalityBatch(theorem1=report1)
+    key = spec_hash(spec, t)
     for a in members:
-        batch.certificates += [verify_witness(spec, c)
-                               for c in _witnesses(spec, t, a, W, fams)]
+        batch.certificates += _certify(spec, _witnesses(spec, t, a, W, fams, key))
     return batch
 
 

@@ -1,4 +1,7 @@
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,16 +14,26 @@ from gadic.cli import build_parser, main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def run_gadic(argv: list[str], *python_flags: str, code: str | None = None,
+              hash_seed: str = "0") -> subprocess.CompletedProcess:
+    """`python [flags] -m gadic.cli argv` (or `-c code`) in a fresh process."""
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": str(README.parent / "src")}
+    target = ["-c", code] if code is not None else ["-m", "gadic.cli", *argv]
+    return subprocess.run([sys.executable, *python_flags, *target], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def skew_dp_count(monkeypatch):
     """Make the verifier's digit-DP count off by `delta` from the truth."""
-    real = gadic.verifier.count_reps_digitdp
+    real = gadic.verifier._dp_accept
 
     def install(delta: int):
         def skewed(*args, **kwargs):
             res = real(*args, **kwargs)
             return RepCountResult(ordered_count=res.ordered_count + delta)
-        monkeypatch.setattr(gadic.verifier, "count_reps_digitdp", skewed)
+        monkeypatch.setattr(gadic.verifier, "_dp_accept", skewed)
     return install
 
 
@@ -223,6 +236,44 @@ class TestMinimalityCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_runs_are_byte_identical(self, preset, tmp_path):
+        # two fresh processes with different string hash seeds
+        runs = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            proc = run_gadic(["minimality", "--preset", preset, "--out",
+                              str(out), "--budget", "20", "--witnesses", "3"],
+                             hash_seed=seed)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, {f.name: f.read_bytes()
+                                       for f in out.iterdir()}))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 60
+
+    def test_soundness_checks_survive_python_O(self):
+        # python -O strips assert statements; the certify path must still
+        # certify, and still refuse a count below the expected one
+        argv = ["minimality", "--preset", "h3-runs", "--budget", "5",
+                "--witnesses", "2"]
+        proc = run_gadic(argv, "-O")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] \
+            == "summary: 10/10 certified; theorem1 precheck pass"
+        skew = ("import sys\n"
+                "from gadic import cli, verifier\n"
+                "real = verifier._dp_accept\n"
+                "def low(*args, **kwargs):\n"
+                "    res = real(*args, **kwargs)\n"
+                "    res.ordered_count -= 1\n"
+                "    return res\n"
+                "verifier._dp_accept = low\n"
+                f"sys.exit(cli.main({argv!r}))\n")
+        proc = run_gadic([], "-O", code=skew)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: counting engine bug")
+
+
 class TestExploreCommand:
     def test_zero_window_exits_2(self):
         assert main(["explore", "--window", "0"]) == 2
@@ -256,6 +307,19 @@ class TestExploreCommand:
 
     def test_sweep_t_zero_exits_2(self):
         assert main(["explore", "--sweep-t", "0"]) == 2
+
+    @pytest.mark.parametrize("values,message", [
+        ("", "expects comma-separated integers, got ''"),
+        ("2,,3", "expects comma-separated integers, got '2,,3'"),
+        ("2,x", "expects comma-separated integers, got '2,x'"),
+        ("2,0", "values must be >= 1, got t=0"),
+    ])
+    def test_sweep_t_list_checked_before_any_row(self, values, message,
+                                                 capsys):
+        assert main(["explore", "--sweep-t", values]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --sweep-t {message}\n"
 
     def test_sweep_t_certification_failure_exits_1(self, skew_dp_count, capsys):
         skew_dp_count(+1)

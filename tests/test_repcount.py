@@ -383,6 +383,60 @@ class TestInternedSets:
             assert len(steps) == 7 == rep.max_index()
 
 
+def resumed_counts(spec: BasisSpec, h: int, low: DigitRep, L: int,
+                   reps: list[DigitRep], zero_allowed: bool):
+    """The shared-prefix route: the DP over [0, L) on the digits `low`
+    once, then resumed from that state over [L, top] for each rep."""
+    top = max(rep.max_index() for rep in reps)
+    quots, colors = spec._positions(top + 1)
+    shared = repcount._dp_steps(repcount._dp_start(h), quots, colors,
+                                low.digits.get, 0, L, h)
+    return shared, [repcount._dp_accept(
+        repcount._dp_steps(shared, quots, colors, rep.digits.get, L,
+                           rep.max_index() + 1, h), zero_allowed)
+        for rep in reps]
+
+
+class TestResumedDP:
+    """count_reps_digitdp split at a position L: one state over the digits
+    that several n share below L, resumed for each n."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec=configurations(), L=st.integers(0, 80),
+           low=st.integers(0, 1 << 128),
+           highs=st.lists(st.integers(1, 1 << 64), min_size=1, max_size=4),
+           zero_allowed=st.booleans())
+    def test_matches_fresh_counts(self, spec, L, low, highs, zero_allowed):
+        seq, h = spec.seq, spec.h
+        low %= seq.value(L)
+        reps = [seq.represent(low + high * seq.value(L)) for high in highs]
+        _, resumed = resumed_counts(spec, h, seq.represent(low), L, reps,
+                                    zero_allowed)
+        assert resumed == [count_reps_digitdp(spec, rep, h,
+                                              zero_allowed=zero_allowed)
+                           for rep in reps]
+
+    @pytest.mark.parametrize("zero_allowed", [False, True])
+    def test_prefix_whose_live_set_empties(self, zero_allowed):
+        # 201 has h3-runs digits at 0, 3, 6, 7 and no pair of members
+        # survives index 6 (TestInternedSets), so no n sharing its digits
+        # below 7 is a sum of two members
+        spec, L = load_preset("h3-runs").basis, 7
+        seq = spec.seq
+        low = 201 % seq.value(L)
+        ns = [low + k * seq.value(L) for k in range(1, 5)]
+        reps = [seq.represent(n) for n in ns]
+        shared, resumed = resumed_counts(spec, 2, seq.represent(low), L, reps,
+                                         zero_allowed)
+        assert shared[1] == []
+        window = spec.enumerate(ns[-1])
+        for n, rep, res in zip(ns, reps, resumed):
+            assert res == count_reps_digitdp(spec, rep, 2,
+                                             zero_allowed=zero_allowed)
+            assert res.ordered_count == 0 == count_reps_bruteforce(
+                window, n, 2, zero_allowed=zero_allowed).ordered_count
+
+
 class TestHfoldSumset:
     def test_single_element(self):
         assert mask_to_set(hfold_sumset_window(1 << 1, 10, 3)) == {3}

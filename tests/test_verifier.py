@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import gadic.repcount
 import gadic.verifier
 from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    HypothesisViolatedError, PartitionSpec, construct_witness,
-                   count_reps_bruteforce, cross_check_witness, load_preset,
-                   removability_scan, verify_minimality, verify_theorem1,
+                   count_reps_bruteforce, count_reps_digitdp,
+                   cross_check_witness, load_preset, min_t, removability_scan, verify_minimality, verify_theorem1,
                    verify_theorem2, verify_witness)
 from gadic.repcount import hfold_sumset_window, sumset_gaps
 from test_repcount import classify_window, configurations
@@ -258,6 +258,60 @@ class TestMinimalityBatch:
         # a negative K would otherwise slice members from the end
         with pytest.raises(DomainError, match=r"^need K >= 1 and W >= 1"):
             verify_minimality(binary_pairs, t=2, K=K, W=W)
+
+
+class TestSharedPrefix:
+    """verify_minimality builds and counts a member's W witnesses from their
+    shared digits below L = min M_i of the first witness, once per member."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=configurations(min_run=3).filter(lambda spec: spec.h <= 3),
+           K=st.integers(1, 6), W=st.integers(1, 6), below=st.integers(0, 2))
+    def test_batch_matches_one_witness_at_a_time(self, spec, K, W, below):
+        # t at the threshold, or below it with override
+        t = max(1, min_t(spec.h) - below)
+        override = t < min_t(spec.h)
+        batch = verify_minimality(spec, t, K, W, override=override)
+        members = sorted({c.removed for c in batch.certificates})
+        expected = [verify_witness(spec, c) for a in members
+                    for c in construct_witness(spec, t, a, W, override)]
+        assert len(batch.certificates) == len(members) * W
+        assert [c.render(spec) for c in batch.certificates] \
+            == [c.render(spec) for c in expected]
+        for cert in batch.certificates:
+            assert cert.measured_count == count_reps_digitdp(
+                spec, cert.n_rep, spec.h).ordered_count
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_prefix_walked_once_per_member(self, name, monkeypatch):
+        cfg = load_preset(name)
+        spec, t = cfg.basis, cfg.t
+        real, walks = gadic.verifier._dp_steps, []
+
+        def recorded(state, quots, colors, digit, lo, hi, h):
+            walks.append((lo, hi))
+            return real(state, quots, colors, digit, lo, hi, h)
+
+        monkeypatch.setattr(gadic.verifier, "_dp_steps", recorded)
+        batch = verify_minimality(spec, t, K=6, W=4)
+        expected = []
+        for k in range(0, len(batch.certificates), 4):
+            certs = batch.certificates[k:k + 4]
+            L = min(certs[0].chosen_Ms.values())
+            expected += [(0, L)] + [(L, c.n_rep.max_index() + 1) for c in certs]
+        assert walks == expected
+
+    def test_witness_with_other_low_digits_refused(self):
+        # h3-runs members 4 and 5 share M0 = 2 and every M_i, but not the
+        # digits below M0
+        spec = load_preset("h3-runs").basis
+        certs = construct_witness(spec, 3, 4, W=3)
+        other = construct_witness(spec, 3, 5, W=3)[1]
+        assert other.chosen_Ms == certs[1].chosen_Ms
+        certs[1] = other
+        with pytest.raises(RuntimeError, match=r"^witness construction bug: "
+                           r"n=\d+ does not share the digits below 5$"):
+            gadic.verifier._certify(spec, certs)
 
 
 class TestThresholdGuard:
