@@ -126,14 +126,25 @@ def _intern(states: tuple) -> int:
         return _SET_IDS[states]
 
 
+# A compiled DP step: (next set id, its size, gather, fixups).  The ways of
+# target t are prev[gather[t]] plus prev[s] * m over its fixups (t, s, m);
+# gather is None when the step is the identity.
+_Step = tuple[int, int, tuple[int, ...] | None, tuple[tuple[int, int, int], ...]]
+
+
 # No size limit, like _transitions: per configuration the keys are its
 # reachable live sets times its (quotient, class, digit) triples.
 @lru_cache(maxsize=None)
-def _advance(set_id: int, d: int, c: int, r: int, h: int
-             ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+def _advance(set_id: int, d: int, c: int, r: int, h: int) -> _Step:
     """One DP step from live set `set_id` at a (quotient d, class c)
-    position where n has digit r: the next set id and the (source index,
-    target index, multiplicity) edges that carry the ways between them."""
+    position where n has digit r, compiled from the (source, target,
+    multiplicity) edges between the two live sets.
+
+    Each target gathers one source index, a multiplicity-1 source where
+    it has one; its other edges become (target, source, multiplicity)
+    fixups, and a target with no unit source adds m - 1 for its gathered
+    source.  gather is None when the step is the identity: a nonempty
+    set of the same size whose every edge is (s, s, 1)."""
     moves = []
     for s, (carry, statuses) in enumerate(_SETS[set_id]):
         for sts, tot, mult in _transitions(d, c, statuses):
@@ -145,7 +156,20 @@ def _advance(set_id: int, d: int, c: int, r: int, h: int
                 moves.append((s, (carry_out, sts), mult))
     states = tuple(sorted({key for _, key, _ in moves}))
     index = {key: t for t, key in enumerate(states)}
-    return _intern(states), tuple((s, index[key], m) for s, key, m in moves)
+    sources: list[list[tuple[int, int]]] = [[] for _ in states]
+    for s, key, m in moves:
+        sources[index[key]].append((s, m))
+    gather, fixups = [], []
+    for t, edges in enumerate(sources):
+        first = next((e for e in edges if e[1] == 1), edges[0])
+        edges.remove(first)
+        gather.append(first[0])
+        if first[1] > 1:
+            fixups.append((t, first[0], first[1] - 1))
+        fixups += [(t, s, m) for s, m in edges]
+    if states and not fixups and gather == list(range(len(_SETS[set_id]))):
+        return _intern(states), len(states), None, ()
+    return _intern(states), len(states), tuple(gather), tuple(fixups)
 
 
 # A DP state between positions: (live set id, ways per live state, most
@@ -161,17 +185,23 @@ def _dp_start(h: int) -> _DPState:
 def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
               lo: int, hi: int, h: int) -> _DPState:
     """Advance `state` over positions [lo, hi), where position j has
-    quotient quots[j], class colors[j] and n's digit digit(j, 0).  Stops
-    early once the live set is empty (it stays empty)."""
+    quotient quots[j], class colors[j] and n's digit digit(j, 0).  An
+    identity step keeps `ways` as it is; any other step gathers one source
+    per target in C (`map` over the compiled gather) and adds its fixups.
+    Stops early once the live set is empty (it stays empty)."""
     set_id, ways, peak = state
     for j in range(lo, hi):
-        set_id, edges = _advance(set_id, quots[j], colors[j], digit(j, 0), h)
-        ways, prev = [0] * len(_SETS[set_id]), ways
-        for s, t, mult in edges:
+        set_id, size, gather, fixups = _advance(set_id, quots[j], colors[j],
+                                                digit(j, 0), h)
+        if gather is None:
+            continue  # same size, so peak and emptiness are unchanged
+        prev = ways
+        ways = list(map(prev.__getitem__, gather))
+        for t, s, mult in fixups:
             ways[t] += prev[s] * mult
-        if len(ways) > peak:
-            peak = len(ways)
-        elif not ways:
+        if size > peak:
+            peak = size
+        elif not size:
             break
     return set_id, ways, peak
 

@@ -230,23 +230,30 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
 def _certify(spec: BasisSpec, certs: list[WitnessCertificate]
              ) -> list[WitnessCertificate]:
     """verify_witness on witnesses that share their digits below
-    L = min M_i of the first: the digit DP runs over [0, L) once and
-    resumes from that state for each witness.  A witness whose digits
-    below L differ from the first's is a construction bug."""
+    L = min M_i of the first and have only zeros from L up to their own
+    smallest M_i.  One prefix state is carried upward: for each witness
+    the digit DP walks it on to that M_i and resumes from there over the
+    witness's own top digits.  A witness whose digits below its smallest
+    M_i differ from that prefix is a construction bug."""
     h = spec.h
     L = min(certs[0].chosen_Ms.values())
     prefix = {j: x for j, x in certs[0].n_rep.items() if j < L}
     top = max(cert.n_rep.max_index() for cert in certs)
     quots, colors = spec._positions(top + 1)
-    shared = _dp_steps(_dp_start(h), quots, colors, prefix.get, 0, L, h)
+    state, pos = _dp_start(h), 0
     for cert in certs:
+        low = min(cert.chosen_Ms.values())
         digits = cert.n_rep.digits
-        if {j: x for j, x in digits.items() if j < L} != prefix:
+        if {j: x for j, x in digits.items() if j < low} != prefix:
             raise RuntimeError(f"witness construction bug: n={cert.n_value} "
-                               f"does not share the digits below {L}")
-        state = _dp_steps(shared, quots, colors, digits.get, L,
-                          cert.n_rep.max_index() + 1, h)
-        measured = _dp_accept(state, zero_allowed=False).ordered_count
+                               f"does not share the digits below {low}")
+        if low < pos:  # the prefix state is past this witness's M_i
+            state, pos = _dp_start(h), 0
+        state = _dp_steps(state, quots, colors, prefix.get, pos, low, h)
+        pos = low
+        own = _dp_steps(state, quots, colors, digits.get, low,
+                        cert.n_rep.max_index() + 1, h)
+        measured = _dp_accept(own, zero_allowed=False).ordered_count
         values = cert.multiset
         expected = math.factorial(h)
         for v in set(values):

@@ -301,9 +301,10 @@ class TestInternedSets:
         assert "counting engine bug: carry" in capsys.readouterr().err
 
     def test_cold_and_warm_caches_agree(self, clear_dp_caches):
-        # both presets have h = 2, so they share set ids and memo entries
-        specs = [load_preset(name).basis
-                 for name in ("binary-h2", "mixed23-h2")]
+        # the two h = 2 presets share set ids and memo entries; uniform
+        # inputs walk mostly identity steps, and dense sums on h3-runs and
+        # h4-runs walk steps with fixups
+        specs = [load_preset(name).basis for name in sorted(PRESETS)]
         rng = random.Random(5)
         calls = [(spec, spec.seq.represent(n), zero_allowed)
                  for _ in range(40) for spec in specs
@@ -311,7 +312,8 @@ class TestInternedSets:
                  for zero_allowed in (False, True)]
 
         def run(spec, rep, zero_allowed):
-            res = count_reps_digitdp(spec, rep, 2, zero_allowed=zero_allowed)
+            res = count_reps_digitdp(spec, rep, spec.h,
+                                     zero_allowed=zero_allowed)
             return res.ordered_count, res.peak_states
 
         cold = []
@@ -319,10 +321,51 @@ class TestInternedSets:
             clear_dp_caches()
             cold.append(run(*call))
         assert [run(*call) for call in calls] == cold
-        for (spec, rep, zero_allowed), (count, peak) in zip(calls[:16], cold):
-            oracle, _, multiset_peak = ordered_digitdp(spec, rep, 2,
+        # two rounds: every preset, uniform and dense, with and without 0
+        for (spec, rep, zero_allowed), (count, peak) in zip(calls[:32], cold):
+            oracle, _, multiset_peak = ordered_digitdp(spec, rep, spec.h,
                                                        zero_allowed)
             assert (count, peak) == (oracle, multiset_peak)
+
+    def test_compiled_steps_match_the_edge_sums(self, monkeypatch):
+        # every step the DP memoizes on uniform inputs and dense sums of
+        # all presets, applied by _dp_steps to random ways, against the
+        # plain sum over the _transitions edges
+        advance, keys = repcount._advance, set()
+
+        def recorded(*key):
+            keys.add(key)
+            return advance(*key)
+
+        monkeypatch.setattr(repcount, "_advance", recorded)
+        rng = random.Random(11)
+        for spec in (load_preset(name).basis for name in sorted(PRESETS)):
+            for c in range(spec.h):
+                for n in (rng.randrange(1 << 96), dense_sum(spec, c, 96, rng)):
+                    count_reps_digitdp(spec, spec.seq.represent(n), spec.h)
+        monkeypatch.undo()
+        kinds = set()
+        for set_id, d, c, r, h in sorted(keys):
+            next_id, size, gather, fixups = advance(set_id, d, c, r, h)
+            if gather is None:
+                kinds.add("identity")
+            elif any(gather[t] == s for t, s, _ in fixups):
+                kinds.add("no unit source")
+            source = repcount._SETS[set_id]
+            prev = [rng.randrange(1 << 64) for _ in source]
+            expected: dict[tuple, int] = {}
+            for (carry, statuses), w in zip(source, prev):
+                for sts, tot, mult in repcount._transitions(d, c, statuses):
+                    carry_out, rem = divmod(tot + carry, d)
+                    if rem == r:
+                        key = (carry_out, sts)
+                        expected[key] = expected.get(key, 0) + w * mult
+            got_id, ways, _ = repcount._dp_steps(
+                (set_id, prev, len(prev)), [d], [c], lambda j, zero: r, 0, 1, h)
+            assert got_id == next_id
+            assert size == len(ways) == len(repcount._SETS[next_id])
+            assert dict(zip(repcount._SETS[next_id], ways)) == expected
+        assert kinds == {"identity", "no unit source"}
 
     def test_threads_share_the_intern_table(self, clear_dp_caches):
         specs = [load_preset(name).basis for name in sorted(PRESETS)]

@@ -261,8 +261,9 @@ class TestMinimalityBatch:
 
 
 class TestSharedPrefix:
-    """verify_minimality builds and counts a member's W witnesses from their
-    shared digits below L = min M_i of the first witness, once per member."""
+    """verify_minimality builds a member's W witnesses from their shared
+    digits below L = min M_i of the first witness and counts them from one
+    prefix state, carried upward to each witness's own smallest M_i."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(spec=configurations(min_run=3).filter(lambda spec: spec.h <= 3),
@@ -295,11 +296,44 @@ class TestSharedPrefix:
         monkeypatch.setattr(gadic.verifier, "_dp_steps", recorded)
         batch = verify_minimality(spec, t, K=6, W=4)
         expected = []
-        for k in range(0, len(batch.certificates), 4):
-            certs = batch.certificates[k:k + 4]
-            L = min(certs[0].chosen_Ms.values())
-            expected += [(0, L)] + [(L, c.n_rep.max_index() + 1) for c in certs]
+        for k, cert in enumerate(batch.certificates):
+            # the prefix state walks on from the last witness's smallest
+            # M_i (from 0 for a member's first witness) to this one's
+            pos = 0 if k % 4 == 0 else low
+            low = min(cert.chosen_Ms.values())
+            expected += [(pos, low), (low, cert.n_rep.max_index() + 1)]
         assert walks == expected
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_witnesses_in_any_order(self, name, monkeypatch):
+        # a witness whose smallest M_i lies below the carried prefix state
+        # restarts the prefix walk from 0
+        cfg = load_preset(name)
+        spec = cfg.basis
+        real, walks = gadic.verifier._dp_steps, []
+
+        def recorded(state, quots, colors, digit, lo, hi, h):
+            walks.append((lo, hi))
+            return real(state, quots, colors, digit, lo, hi, h)
+
+        for a in spec.enumerate(64).members[:3]:
+            certs = construct_witness(spec, cfg.t, a, W=4)
+            ordered = [c.render(spec) for c in
+                       gadic.verifier._certify(spec, certs)]
+            shuffled = [certs[k] for k in (3, 1, 0, 2)]
+            monkeypatch.setattr(gadic.verifier, "_dp_steps", recorded)
+            walks.clear()
+            gadic.verifier._certify(spec, shuffled)
+            monkeypatch.undo()
+            assert [c.render(spec) for c in certs] == ordered
+            assert all(c.verdict == "certified" for c in certs)
+            lows = [min(c.chosen_Ms.values()) for c in shuffled]
+            assert lows[1] < lows[0] and lows[2] < lows[1] < lows[3]
+            tops = [c.n_rep.max_index() + 1 for c in shuffled]
+            assert walks == [(0, lows[0]), (lows[0], tops[0]),
+                             (0, lows[1]), (lows[1], tops[1]),
+                             (0, lows[2]), (lows[2], tops[2]),
+                             (lows[2], lows[3]), (lows[3], tops[3])]
 
     def test_witness_with_other_low_digits_refused(self):
         # h3-runs members 4 and 5 share M0 = 2 and every M_i, but not the
@@ -310,7 +344,7 @@ class TestSharedPrefix:
         assert other.chosen_Ms == certs[1].chosen_Ms
         certs[1] = other
         with pytest.raises(RuntimeError, match=r"^witness construction bug: "
-                           r"n=\d+ does not share the digits below 5$"):
+                           r"n=\d+ does not share the digits below 14$"):
             gadic.verifier._certify(spec, certs)
 
 
