@@ -9,12 +9,11 @@ from .partition import (HypothesisViolatedError, IntervalFamilies,
                         PartitionSpec, detect_interval_families, min_t)
 from .basis import BasisSpec, MemberWindow, WindowTooLargeError
 from .repcount import (RepCountResult, check_prefix_inequality,
-                       count_reps_bruteforce, count_reps_digitdp)
+                       count_reps_digitdp)
 from .verifier import (BasisReport, MinimalityBatch, WitnessCertificate,
                        check_lemma1, check_lemma2, construct_witness,
-                       cross_check_witness, removability_scan,
-                       verify_minimality, verify_theorem1, verify_theorem2,
-                       verify_witness)
+                       removability_scan, verify_minimality, verify_theorem1,
+                       verify_theorem2, verify_witness)
 from .config import PRESETS, ConfigError, RunConfig, load_preset
 
 __all__ = [
@@ -23,8 +22,8 @@ __all__ = [
     "IntervalFamilies", "MemberWindow", "MinimalityBatch", "PartitionSpec",
     "PRESETS", "RepCountResult", "RunConfig", "WindowTooLargeError",
     "WitnessCertificate", "check_lemma1", "check_lemma2",
-    "check_prefix_inequality", "construct_witness", "count_reps_bruteforce",
-    "count_reps_digitdp", "cross_check_witness", "detect_interval_families",
+    "check_prefix_inequality", "construct_witness", "count_reps_digitdp",
+    "detect_interval_families",
     "load_preset", "min_t", "removability_scan", "verify_minimality",
     "verify_theorem1", "verify_theorem2", "verify_witness",
 ]

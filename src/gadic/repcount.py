@@ -1,9 +1,9 @@
 """Counting representations of n as ordered h-tuples of set members.
 
-Two independent routes: an exhaustive window brute force (the oracle, for
-small n) and a digit-level dynamic program whose state is the additive
-carry plus the multiset of summand class commitments (scales to
-arbitrarily large n).  Window sumsets come from the digit-box kernel in
+The count is a digit-level dynamic program whose state is the additive
+carry plus the multiset of summand class commitments; it scales to
+arbitrarily large n.  The window brute force it is tested against is in
+`tests/oracles.py`.  Window sumsets come from the digit-box kernel in
 `basis`; here are the gap reader and the member shift-OR the tests check
 that kernel against.
 """
@@ -16,33 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
-from .basis import BasisSpec, MemberWindow, _low_bits
+from .basis import BasisSpec, _low_bits
 
 @dataclass
 class RepCountResult:
     ordered_count: int
-    peak_states: int | None = None  # digit DP: most live states at a position
-
-
-def count_reps_bruteforce(window: MemberWindow, n: int, h: int,
-                          zero_allowed: bool = False) -> RepCountResult:
-    """Exhaustive ordered-tuple count over a precomputed member window, by
-    recursive h-way composition with pruning."""
-    if n > window.N:
-        raise DomainError(f"n={n} exceeds the enumerated window [0, {window.N}]")
-    if h < 1:
-        raise DomainError(f"need h >= 1, got {h}")
-    pool = [0] + window.members if zero_allowed else window.members
-    allowed = set(pool) if zero_allowed else window.member_set
-
-    def rec(slots: int, rem: int) -> int:
-        if slots == 1:
-            return int(rem in allowed)
-        # the other slots - 1 summands are >= 1 each unless 0 is allowed
-        top = bisect_right(pool, rem if zero_allowed else rem - slots + 1)
-        return sum(rec(slots - 1, rem - m) for m in pool[:top])
-
-    return RepCountResult(ordered_count=rec(h, n))
+    peak_states: int | None = None  # digit DP: most live states after a step
 
 
 def hfold_sumset_window(mask: int, N: int, h: int) -> int:
@@ -81,13 +60,16 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-# Shared by all calls and needs no size limit: per configuration there are at
-# most (distinct quotients) x h classes x C(2h, h) keys, C(2h, h) being the
-# sorted status tuples (70 for h = 4), however large the inputs.
+# Shared by all calls and needs no size limit: per configuration and order h
+# there are at most (distinct segment radices D) x (classes) x C(2h, h) keys,
+# C(2h, h) being the sorted status tuples (70 for h = 4), however large the
+# inputs.  A radix is a lone quotient or a product of quotients of at most
+# _SEGMENT_BOUND, and the polynomials below have degree below h times it.
 @lru_cache(maxsize=None)
 def _transitions(d: int, c: int, statuses: tuple[int, ...]
                  ) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """The digit multisets at a (quotient d, class c) position.
+    """The digit multisets at a (quotient d, class c) position, or at a
+    segment of class-c positions read as one digit of radix d.
 
     `statuses` is sorted.  Summands committed to a class other than c must
     take digit 0; the k committed to c take any digit in [0, d-1]; of the e
@@ -133,11 +115,12 @@ _Step = tuple[int, int, tuple[int, ...] | None, tuple[tuple[int, int, int], ...]
 
 
 # No size limit, like _transitions: per configuration the keys are its
-# reachable live sets times its (quotient, class, digit) triples.
+# reachable live sets times its (segment radix, class, segment digit)
+# triples.
 @lru_cache(maxsize=None)
 def _advance(set_id: int, d: int, c: int, r: int, h: int) -> _Step:
-    """One DP step from live set `set_id` at a (quotient d, class c)
-    position where n has digit r, compiled from the (source, target,
+    """One DP step from live set `set_id` over a class-c segment of radix
+    d where n reads r, compiled from the (source, target,
     multiplicity) edges between the two live sets.
 
     Each target gathers one source index, a multiplicity-1 source where
@@ -172,8 +155,8 @@ def _advance(set_id: int, d: int, c: int, r: int, h: int) -> _Step:
     return _intern(states), len(states), tuple(gather), tuple(fixups)
 
 
-# A DP state between positions: (live set id, ways per live state, most
-# live states at a position so far).
+# A DP state between steps: (live set id, ways per live state, most live
+# states after a step so far).
 _DPState = tuple[int, list[int], int]
 
 
@@ -182,17 +165,42 @@ def _dp_start(h: int) -> _DPState:
     return _intern(((0, (EMPTY,) * h),)), [1], 1
 
 
+# A DP step covers a segment: a run of consecutive positions of one class
+# whose quotients multiply to D <= _SEGMENT_BOUND (a lone position of a
+# larger quotient is a segment of its own).  Only summands committed to the
+# class or EMPTY take digits there, so the run reads as one digit of radix D.
+# The bound is small because a cold step costs more as D grows (the degree
+# of _transitions' polynomials, and one compiled _advance step per segment
+# digit): 8 keeps a cold first call near that of one position per step and
+# still merges the runs of every preset whole (products 4, 6 and 8).
+_SEGMENT_BOUND = 8
+
+
 def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
-              lo: int, hi: int, h: int) -> _DPState:
+              lo: int, hi: int, h: int, classes: int) -> _DPState:
     """Advance `state` over positions [lo, hi), where position j has
-    quotient quots[j], class colors[j] and n's digit digit(j, 0).  An
-    identity step keeps `ways` as it is; any other step gathers one source
-    per target in C (`map` over the compiled gather) and adds its fixups.
-    Stops early once the live set is empty (it stays empty)."""
+    quotient quots[j], class colors[j] and n's digit digit(j, 0), one step
+    per segment: the segment's digits of n read in radix D = the product of
+    its quotients.  An identity step keeps `ways` as it is; any other step
+    gathers one source per target in C (`map` over the compiled gather) and
+    adds its fixups.  Stops early once the live set is empty (it stays
+    empty), and, when h equals the partition's number of classes, once it
+    is exactly {carry 0, one summand committed to each class}: every later
+    digit then belongs to exactly one summand and leaves no carry, so every
+    later step is the identity.  With h other than the class count that
+    set is not final (a class with no summand, or a spare summand), so the
+    walk goes on."""
     set_id, ways, peak = state
-    for j in range(lo, hi):
-        set_id, size, gather, fixups = _advance(set_id, quots[j], colors[j],
-                                                digit(j, 0), h)
+    done = _intern(((0, tuple(range(h))),)) if h == classes else -1
+    j = lo
+    while j < hi and set_id != done:
+        c, D, R = colors[j], quots[j], digit(j, 0)
+        j += 1
+        while j < hi and colors[j] == c and D * quots[j] <= _SEGMENT_BOUND:
+            R += digit(j, 0) * D
+            D *= quots[j]
+            j += 1
+        set_id, size, gather, fixups = _advance(set_id, D, c, R, h)
         if gather is None:
             continue  # same size, so peak and emptiness are unchanged
         prev = ways
@@ -225,14 +233,19 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
     position's class (a committed summand never changes class).  The count
     is symmetric under permuting the summands, so a state is (carry, sorted
     summand statuses) and its ways count every ordering; the carry never
-    exceeds h.  Accepts carry 0 out of the top digit of n and, unless
-    zero_allowed, every summand committed.
+    exceeds h.  One step covers a run of same-class positions (see
+    _dp_steps), and the walk ends early once no state is left or, when h
+    is the partition's class count, once each class holds one summand and
+    no carry is left.  Accepts carry 0 out of the top digit of n and,
+    unless zero_allowed, every summand committed.  peak_states is the
+    most live states after any step.
     """
     if h < 2:
         raise DomainError(f"need h >= 2, got {h}")
     top = n.max_index() if not n.is_zero() else -1
     quots, colors = spec._positions(top + 1)
-    state = _dp_steps(_dp_start(h), quots, colors, n.digits.get, 0, top + 1, h)
+    state = _dp_steps(_dp_start(h), quots, colors, n.digits.get, 0, top + 1,
+                      h, spec.h)
     return _dp_accept(state, zero_allowed)
 
 

@@ -8,7 +8,6 @@ multiset, and a is in that multiset, so every representation of n uses a.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 import time
@@ -16,11 +15,11 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .core import DigitRep, DomainError
-from .basis import BasisSpec, MemberWindow, _add_members
+from .basis import BasisSpec, _add_members
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
 from .repcount import _dp_accept, _dp_start, _dp_steps, \
-    check_prefix_inequality, count_reps_bruteforce, sumset_gaps
+    check_prefix_inequality, sumset_gaps
 
 
 @dataclass
@@ -249,10 +248,11 @@ def _certify(spec: BasisSpec, certs: list[WitnessCertificate]
                                f"does not share the digits below {low}")
         if low < pos:  # the prefix state is past this witness's M_i
             state, pos = _dp_start(h), 0
-        state = _dp_steps(state, quots, colors, prefix.get, pos, low, h)
+        # the DP's order h is the partition's class count here
+        state = _dp_steps(state, quots, colors, prefix.get, pos, low, h, h)
         pos = low
         own = _dp_steps(state, quots, colors, digits.get, low,
-                        cert.n_rep.max_index() + 1, h)
+                        cert.n_rep.max_index() + 1, h, h)
         measured = _dp_accept(own, zero_allowed=False).ordered_count
         values = cert.multiset
         expected = math.factorial(h)
@@ -267,27 +267,6 @@ def _certify(spec: BasisSpec, certs: list[WitnessCertificate]
         cert.verdict = "certified" if (measured == expected
                                        and cert.removed in values) else "failed"
     return certs
-
-
-def cross_check_witness(spec: BasisSpec, cert: WitnessCertificate,
-                        window: MemberWindow) -> bool:
-    """Independent brute-force confirmation for window-sized witnesses.
-    Each distinct permutation of h member values summing to n represents n,
-    so an equal brute-force count means there are no other representations,
-    and the count over the set with a removed must be zero."""
-    n, values = cert.n_value, cert.multiset
-    if n > window.N:
-        raise DomainError(f"witness {n} exceeds window [0, {window.N}]")
-    if (len(values) != spec.h or sum(values) != n
-            or not window.member_set.issuperset(values)):
-        return False
-    expected = len(set(itertools.permutations(values)))
-    if count_reps_bruteforce(window, n, spec.h).ordered_count != expected:
-        return False
-    reduced = MemberWindow(N=window.N,
-                           members=[m for m in window.members if m != cert.removed],
-                           mask=window.mask & ~(1 << cert.removed))
-    return count_reps_bruteforce(reduced, n, spec.h).ordered_count == 0
 
 
 @dataclass

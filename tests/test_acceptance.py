@@ -8,11 +8,11 @@ import time
 import pytest
 
 from gadic import (PRESETS, BasisSpec, GadicSequence, PartitionSpec,
-                   check_prefix_inequality, count_reps_bruteforce,
-                   count_reps_digitdp, construct_witness, cross_check_witness,
-                   load_preset, min_t, verify_minimality, verify_theorem1,
-                   verify_theorem2, verify_witness)
+                   check_prefix_inequality, count_reps_digitdp,
+                   construct_witness, load_preset, min_t, verify_minimality,
+                   verify_theorem1, verify_theorem2, verify_witness)
 from gadic.verifier import random_alternate_decomposition
+from oracles import count_reps_bruteforce, cross_check_witness
 
 WINDOW = 5000
 

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -8,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    GadicSequence, PartitionSpec, check_prefix_inequality,
-                   construct_witness, count_reps_bruteforce,
-                   count_reps_digitdp, load_preset, min_t,
-                   WindowTooLargeError)
+                   construct_witness, count_reps_digitdp, load_preset,
+                   min_t, WindowTooLargeError)
 from gadic import cli, repcount
 from gadic.basis import DEFAULT_WINDOW_LIMIT, _add_members, _low_bits
 from gadic.repcount import hfold_sumset_window, sumset_gaps
 from gadic.verifier import random_alternate_decomposition
+from oracles import count_reps_bruteforce, window_counts
 from test_basis import members_by_classify
 
 
@@ -55,37 +56,61 @@ def dense_masks(draw):
     return mask
 
 
+def step_ends(spec: BasisSpec, lo: int, hi: int) -> list[int]:
+    """The last position of each step count_reps_digitdp takes over
+    [lo, hi): runs of one class, cut from lo upward before the product of
+    their quotients would pass repcount._SEGMENT_BOUND."""
+    ends, product = [], 1
+    for j in range(lo, hi):
+        d = spec.seq.quotient(j + 1)
+        if j > lo and (spec.partition.color(j) != spec.partition.color(j - 1)
+                       or product * d > repcount._SEGMENT_BOUND):
+            ends.append(j - 1)
+            product = 1
+        product *= d
+    return ends + [hi - 1] if hi > lo else ends
+
+
+EMPTY = -1
+
+
+@lru_cache(maxsize=None)
+def ordered_transitions(d: int, c: int, statuses: tuple[int, ...]):
+    """Every ordered digit vector at a (quotient d, class c) position from
+    the ordered statuses, as (next statuses, digit sum, multiplicity)."""
+    acc: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def rec(s: int, cur: tuple[int, ...], total: int):
+        if s == len(statuses):
+            acc[cur, total] = acc.get((cur, total), 0) + 1
+            return
+        st_ = statuses[s]
+        rec(s + 1, cur + (st_,), total)  # digit 0
+        if st_ == EMPTY or st_ == c:
+            for x in range(1, d):
+                rec(s + 1, cur + (c,), total + x)
+
+    rec(0, (), 0)
+    return [(sts, tot, mult) for (sts, tot), mult in acc.items()]
+
+
 def ordered_digitdp(spec: BasisSpec, n: DigitRep, h: int,
-                    zero_allowed: bool = False) -> tuple[int, int, int]:
+                    zero_allowed: bool = False,
+                    resume_at: int = 0) -> tuple[int, int, int]:
     """Reference carry/commitment DP over ordered per-summand status tuples,
     enumerating every ordered digit vector at every position.
 
-    Returns (ordered count, most live states at a position, most distinct
-    (carry, status multiset) pairs at a position).
+    Returns (ordered count, most live states, most distinct (carry, status
+    multiset) pairs), both maxima taken at the ends of count_reps_digitdp's
+    steps (step_ends) and past the top digit; with resume_at, at the ends
+    of a walk over [0, resume_at) resumed from there.
     """
     seq, part = spec.seq, spec.partition
-    EMPTY = -1
-
-    @lru_cache(maxsize=None)
-    def transitions(d: int, c: int, statuses: tuple[int, ...]):
-        acc: dict[tuple[tuple[int, ...], int], int] = {}
-
-        def rec(s: int, cur: tuple[int, ...], total: int):
-            if s == len(statuses):
-                acc[cur, total] = acc.get((cur, total), 0) + 1
-                return
-            st_ = statuses[s]
-            rec(s + 1, cur + (st_,), total)  # digit 0
-            if st_ == EMPTY or st_ == c:
-                for x in range(1, d):
-                    rec(s + 1, cur + (c,), total + x)
-
-        rec(0, (), 0)
-        return [(sts, tot, mult) for (sts, tot), mult in acc.items()]
-
     states = {(0, (EMPTY,) * h): 1}
     peak = multiset_peak = 1
     top = n.max_index() if not n.is_zero() else -1
+    split = min(resume_at, top + 1)
+    ends = set(step_ends(spec, 0, split) + step_ends(spec, split, top + 1))
     j = 0
     while states:
         if j > top and all(carry == 0 for carry, _ in states):
@@ -94,17 +119,18 @@ def ordered_digitdp(spec: BasisSpec, n: DigitRep, h: int,
         r = n.digits.get(j, 0)
         new_states: dict[tuple[int, tuple[int, ...]], int] = {}
         for (carry, statuses), ways in states.items():
-            moves = (transitions(d, part.color(j), statuses) if j <= top
-                     else [(statuses, 0, 1)])
+            moves = (ordered_transitions(d, part.color(j), statuses)
+                     if j <= top else [(statuses, 0, 1)])
             for sts, tot, mult in moves:
                 total = tot + carry
                 if total % d == r:
                     key = (total // d, sts)
                     new_states[key] = new_states.get(key, 0) + ways * mult
         states = new_states
-        peak = max(peak, len(states))
-        multiset_peak = max(multiset_peak, len({(carry, tuple(sorted(sts)))
-                                                for carry, sts in states}))
+        if j in ends or j > top:
+            peak = max(peak, len(states))
+            multiset_peak = max(multiset_peak, len({(carry, tuple(sorted(sts)))
+                                                    for carry, sts in states}))
         j += 1
     count = sum(ways for (carry, statuses), ways in states.items()
                 if carry == 0 and (zero_allowed or EMPTY not in statuses))
@@ -217,13 +243,16 @@ class TestOrderedOracle:
     """The summand-symmetric DP against the ordered-vector reference."""
 
     @staticmethod
-    def check(spec: BasisSpec, n: int, zero_allowed: bool) -> None:
+    def check(spec: BasisSpec, n: int, zero_allowed: bool,
+              h: int | None = None) -> None:
+        h = h or spec.h
         rep = spec.seq.represent(n)
-        res = count_reps_digitdp(spec, rep, spec.h, zero_allowed=zero_allowed)
-        count, peak, multiset_peak = ordered_digitdp(spec, rep, spec.h,
+        res = count_reps_digitdp(spec, rep, h, zero_allowed=zero_allowed)
+        count, peak, multiset_peak = ordered_digitdp(spec, rep, h,
                                                      zero_allowed)
         assert res.ordered_count == count
-        # one state per (carry, status multiset) the ordered DP reaches
+        # one state per (carry, status multiset) the ordered DP reaches at
+        # the same step ends
         assert res.peak_states == multiset_peak <= peak
 
     @settings(max_examples=150, deadline=None)
@@ -361,7 +390,8 @@ class TestInternedSets:
                         key = (carry_out, sts)
                         expected[key] = expected.get(key, 0) + w * mult
             got_id, ways, _ = repcount._dp_steps(
-                (set_id, prev, len(prev)), [d], [c], lambda j, zero: r, 0, 1, h)
+                (set_id, prev, len(prev)), [d], [c], lambda j, zero: r, 0, 1,
+                h, h + 1)  # no class count equal to h: no early exit
             assert got_id == next_id
             assert size == len(ways) == len(repcount._SETS[next_id])
             assert dict(zip(repcount._SETS[next_id], ways)) == expected
@@ -406,9 +436,11 @@ class TestInternedSets:
             sys.setswitchinterval(interval)
 
     def test_live_set_empties_before_the_top_digit(self, monkeypatch):
-        # pairs of h3-runs members: 201 has digits at 0, 3, 6, 7, in three
-        # classes, and no pair survives index 6
-        spec, n = load_preset("h3-runs").basis, 201
+        # pairs of h3-runs members: 713 has digits at 0, 3, 6, 7 and 9, in
+        # three classes, and no pair survives index 6; the steps cover the
+        # class runs [0, 3), [3, 6), [6, 9), [9, 10) and the walk stops
+        # after the third, below the top digit
+        spec, n = load_preset("h3-runs").basis, 713
         rep = spec.seq.represent(n)
         advance, steps = repcount._advance, []
 
@@ -423,7 +455,10 @@ class TestInternedSets:
             res = count_reps_digitdp(spec, rep, 2, zero_allowed=zero_allowed)
             assert res.ordered_count == 0 == count_reps_bruteforce(
                 window, n, 2, zero_allowed=zero_allowed).ordered_count
-            assert len(steps) == 7 == rep.max_index()
+            # (radix, class, segment digit): 713 = 0b1011001001
+            assert [key[1:4] for key in steps] == [(8, 0, 1), (8, 1, 1),
+                                                   (8, 2, 3)]
+            assert rep.max_index() == 9
 
 
 def resumed_counts(spec: BasisSpec, h: int, low: DigitRep, L: int,
@@ -433,10 +468,10 @@ def resumed_counts(spec: BasisSpec, h: int, low: DigitRep, L: int,
     top = max(rep.max_index() for rep in reps)
     quots, colors = spec._positions(top + 1)
     shared = repcount._dp_steps(repcount._dp_start(h), quots, colors,
-                                low.digits.get, 0, L, h)
+                                low.digits.get, 0, L, h, spec.h)
     return shared, [repcount._dp_accept(
         repcount._dp_steps(shared, quots, colors, rep.digits.get, L,
-                           rep.max_index() + 1, h), zero_allowed)
+                           rep.max_index() + 1, h, spec.h), zero_allowed)
         for rep in reps]
 
 
@@ -455,9 +490,13 @@ class TestResumedDP:
         reps = [seq.represent(low + high * seq.value(L)) for high in highs]
         _, resumed = resumed_counts(spec, h, seq.represent(low), L, reps,
                                     zero_allowed)
-        assert resumed == [count_reps_digitdp(spec, rep, h,
-                                              zero_allowed=zero_allowed)
-                           for rep in reps]
+        for rep, res in zip(reps, resumed):
+            fresh = count_reps_digitdp(spec, rep, h, zero_allowed=zero_allowed)
+            assert res.ordered_count == fresh.ordered_count
+            # the resumed walk starts a segment at L, so its peak is read at
+            # the ends of its own steps
+            assert res.peak_states == ordered_digitdp(
+                spec, rep, h, zero_allowed, resume_at=L)[2]
 
     @pytest.mark.parametrize("zero_allowed", [False, True])
     def test_prefix_whose_live_set_empties(self, zero_allowed):
@@ -478,6 +517,157 @@ class TestResumedDP:
                                              zero_allowed=zero_allowed)
             assert res.ordered_count == 0 == count_reps_bruteforce(
                 window, n, 2, zero_allowed=zero_allowed).ordered_count
+
+
+def run_spec(period: list[int], colors: list[int], h: int) -> BasisSpec:
+    return BasisSpec(seq=GadicSequence(period=period),
+                     partition=PartitionSpec(h=h, period_colors=colors))
+
+
+def recorded_radices(monkeypatch, run) -> list[int]:
+    """The radix D of every DP step that run() takes."""
+    advance, radices = repcount._advance, []
+
+    def recorded(set_id, d, c, r, h):
+        radices.append(d)
+        return advance(set_id, d, c, r, h)
+
+    monkeypatch.setattr(repcount, "_advance", recorded)
+    run()
+    monkeypatch.undo()
+    return radices
+
+
+def radices(spec: BasisSpec, lo: int, hi: int) -> list[int]:
+    """The product of the quotients of each step_ends segment of [lo, hi)."""
+    out, start = [], lo
+    for end in step_ends(spec, lo, hi):
+        out.append(math.prod(spec.seq.quotient(j + 1)
+                             for j in range(start, end + 1)))
+        start = end + 1
+    return out
+
+
+# (name, spec, the radices of the steps over one period): runs longer than
+# the bound are cut, a quotient above it is a step of its own
+SEGMENT_CONFIGS = [
+    ("binary runs of 8", run_spec([2], [0] * 8 + [1] * 8, 2),
+     [8, 8, 4, 8, 8, 4]),
+    ("ternary runs of 3", run_spec([3], [0, 0, 0, 1, 1, 1, 2, 2, 2], 3),
+     [3] * 9),
+    ("quotients 2, 3 in runs of 4", run_spec([2, 3], [0] * 4 + [1] * 4, 2),
+     [6, 6, 6, 6]),
+    ("quotient 300", run_spec([2, 2, 300], [0, 0, 0, 1, 1, 1], 2),
+     [4, 300, 4, 300]),
+]
+
+
+class TestSegments:
+    """Steps over runs of one class, cut at the bound, against the ordered
+    oracle, which steps one position at a time."""
+
+    @pytest.mark.parametrize("name,spec,period", SEGMENT_CONFIGS,
+                             ids=[c[0] for c in SEGMENT_CONFIGS])
+    def test_steps_follow_the_runs(self, monkeypatch, name, spec, period):
+        # a dense sum of class-0 members keeps its own representation live
+        # and never holds a summand on each class: the walk reaches the top
+        n = dense_sum(spec, 0, 4 * len(period), random.Random(1))
+        top = spec.seq.represent(n).max_index()
+        assert radices(spec, 0, top + 1)[:len(period)] == period
+        assert recorded_radices(monkeypatch, lambda: count_reps_digitdp(
+            spec, spec.seq.represent(n), spec.h)) == radices(spec, 0, top + 1)
+
+    @pytest.mark.parametrize("name,spec,period", SEGMENT_CONFIGS,
+                             ids=[c[0] for c in SEGMENT_CONFIGS])
+    def test_counts_and_peaks_match_the_ordered_oracle(self, name, spec,
+                                                       period):
+        rng = random.Random(7)
+        top = 3 * len(spec.partition.period_colors)
+        ns = [rng.randrange(spec.seq.value(top)) for _ in range(6)]
+        ns += [dense_sum(spec, c, top, rng) for c in range(spec.h)]
+        ns += [sum(member_of_class(spec, rng.randrange(spec.h), top, rng)
+                   for _ in range(spec.h)) for _ in range(6)]
+        for n in ns:
+            for zero_allowed in (False, True):
+                TestOrderedOracle.check(spec, n, zero_allowed)
+
+    @pytest.mark.parametrize("name,spec,period", SEGMENT_CONFIGS,
+                             ids=[c[0] for c in SEGMENT_CONFIGS])
+    def test_brute_force_on_a_window(self, name, spec, period):
+        N = 3000
+        window = spec.enumerate(N)
+        for zero_allowed in (False, True):
+            counts = window_counts(window, spec.h, zero_allowed)
+            for n in range(N + 1):
+                assert count_reps_digitdp(
+                    spec, spec.seq.represent(n), spec.h,
+                    zero_allowed=zero_allowed).ordered_count == counts[n]
+
+    @pytest.mark.parametrize("name,spec,period", SEGMENT_CONFIGS,
+                             ids=[c[0] for c in SEGMENT_CONFIGS])
+    def test_resumed_mid_run(self, monkeypatch, name, spec, period):
+        # every L of the first two periods, mid-run ones included: the
+        # walk from L starts a segment there, and the counts stay those of
+        # a fresh walk and of the ordered oracle
+        seq, rng = spec.seq, random.Random(3)
+        top = 3 * len(spec.partition.period_colors)
+        for L in range(1, 2 * len(spec.partition.period_colors)):
+            low = seq.represent(dense_sum(spec, 0, top, rng) % seq.value(L))
+            highs = [rng.randrange(1, seq.value(top - L)) for _ in range(2)]
+            reps = [seq.represent(seq.evaluate(low) + x * seq.value(L))
+                    for x in highs]
+            for zero_allowed in (False, True):
+                _, resumed = resumed_counts(spec, spec.h, low, L, reps,
+                                            zero_allowed)
+                for rep, res in zip(reps, resumed):
+                    assert res.ordered_count == count_reps_digitdp(
+                        spec, rep, spec.h,
+                        zero_allowed=zero_allowed).ordered_count \
+                        == ordered_digitdp(spec, rep, spec.h, zero_allowed)[0]
+            # with a spare summand the prefix walk neither empties nor exits
+            steps = recorded_radices(monkeypatch, lambda: resumed_counts(
+                spec, spec.h + 1, low, L, reps[:1], False))
+            below = radices(spec, 0, L)
+            assert steps[:len(below)] == below
+            assert steps[len(below):] == radices(
+                spec, L, reps[0].max_index() + 1)[:len(steps) - len(below)]
+
+
+class TestOtherOrders:
+    """count_reps_digitdp with h other than the partition's class count.
+    The walk stops early at {carry 0, one summand on each class} only when
+    h is the class count: with fewer summands a class is left without one,
+    and with more a summand is spare, so later digits still matter."""
+
+    @pytest.mark.parametrize("name,h", [("h3-runs", 2), ("h3-runs", 4),
+                                        ("h4-runs", 2), ("h4-runs", 3),
+                                        ("h4-runs", 5)])
+    def test_every_n_up_to_2_12(self, name, h):
+        spec, N = load_preset(name).basis, 1 << 12
+        window = spec.enumerate(N)
+        # the per-n brute force costs up to |members|^(h-1) per n, so above
+        # the class count it runs on the low end and the per-sum counter,
+        # checked there against it, covers the rest
+        checked = N if h < spec.h else 1 << 7
+        for zero_allowed in (False, True):
+            counts = window_counts(window, h, zero_allowed)
+            for n in range(N + 1):
+                dp = count_reps_digitdp(spec, spec.seq.represent(n), h,
+                                        zero_allowed=zero_allowed)
+                assert dp.ordered_count == counts[n], (n, zero_allowed)
+                if n <= checked:
+                    assert counts[n] == count_reps_bruteforce(
+                        window, n, h, zero_allowed=zero_allowed).ordered_count
+
+    @pytest.mark.parametrize("name", ["h3-runs", "h4-runs"])
+    def test_ordered_oracle_away_from_the_class_count(self, name):
+        spec, rng = load_preset(name).basis, random.Random(2)
+        for h in (2, spec.h + 1):
+            for _ in range(10):
+                n = sum(member_of_class(spec, rng.randrange(spec.h), 40, rng)
+                        for _ in range(h))
+                for zero_allowed in (False, True):
+                    TestOrderedOracle.check(spec, n, zero_allowed, h)
 
 
 class TestHfoldSumset:

@@ -5,10 +5,11 @@ import gadic.repcount
 import gadic.verifier
 from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    HypothesisViolatedError, PartitionSpec, construct_witness,
-                   count_reps_bruteforce, count_reps_digitdp,
-                   cross_check_witness, load_preset, min_t, removability_scan, verify_minimality, verify_theorem1,
-                   verify_theorem2, verify_witness)
+                   count_reps_digitdp, load_preset, min_t, removability_scan,
+                   verify_minimality, verify_theorem1, verify_theorem2,
+                   verify_witness)
 from gadic.repcount import hfold_sumset_window, sumset_gaps
+from oracles import count_reps_bruteforce, cross_check_witness
 from test_repcount import classify_window, configurations
 
 
@@ -289,9 +290,9 @@ class TestSharedPrefix:
         spec, t = cfg.basis, cfg.t
         real, walks = gadic.verifier._dp_steps, []
 
-        def recorded(state, quots, colors, digit, lo, hi, h):
+        def recorded(state, quots, colors, digit, lo, hi, h, classes):
             walks.append((lo, hi))
-            return real(state, quots, colors, digit, lo, hi, h)
+            return real(state, quots, colors, digit, lo, hi, h, classes)
 
         monkeypatch.setattr(gadic.verifier, "_dp_steps", recorded)
         batch = verify_minimality(spec, t, K=6, W=4)
@@ -312,9 +313,9 @@ class TestSharedPrefix:
         spec = cfg.basis
         real, walks = gadic.verifier._dp_steps, []
 
-        def recorded(state, quots, colors, digit, lo, hi, h):
+        def recorded(state, quots, colors, digit, lo, hi, h, classes):
             walks.append((lo, hi))
-            return real(state, quots, colors, digit, lo, hi, h)
+            return real(state, quots, colors, digit, lo, hi, h, classes)
 
         for a in spec.enumerate(64).members[:3]:
             certs = construct_witness(spec, cfg.t, a, W=4)
