@@ -8,7 +8,7 @@ digit-box kernel, `_add_members`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import DigitRep, DomainError, GadicSequence
 from .partition import PartitionSpec
@@ -66,8 +66,11 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
     for j in range(top + 1):
         c, d, gj = colors[j], quots[j], g[j]
         y = Y[c]
-        part = 0
-        for x in range(1, d):
+        # g_j <= N at every index walked (top = leading_index(N)), so the
+        # shift by g_j needs no guard; part starts from it, not from 0,
+        # which saves one N-bit copy per index
+        part = y << gj
+        for x in range(2, d):
             if x * gj > N:
                 break
             part |= y << x * gj
@@ -152,7 +155,3 @@ class MemberWindow:
     N: int
     members: list[int]
     mask: int
-    member_set: frozenset[int] = field(init=False)
-
-    def __post_init__(self):
-        self.member_set = frozenset(self.members)

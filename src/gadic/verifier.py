@@ -89,12 +89,13 @@ def _window_report(sumset: int, N: int, expected: list[int],
     return BasisReport(gaps, gaps == expected, time.perf_counter() - t0)
 
 
-def _hfold(spec: BasisSpec, N: int, a: int = 0) -> tuple[int, int]:
-    """(h(B u {0}), hB) over [0, N], B = A minus {a} (a = 0 removes
-    nothing): h rounds of the kernel from X = {0} give the layers kB for
-    k = 1..h, hB last, and h(B u {0}) = {0} u kB (k = 1..h)."""
-    layer = cover = 1
-    for _ in range(spec.h):
+def _hfold(spec: BasisSpec, B: int, N: int, a: int = 0) -> tuple[int, int]:
+    """(h(B u {0}), hB) over [0, N] from the caller's bit array B of
+    A minus {a} (a = 0 removes nothing), which is the layer 1B: h - 1 more
+    rounds of the kernel give the layers kB for k = 2..h, hB last, and
+    h(B u {0}) = {0} u kB (k = 1..h)."""
+    layer, cover = B, B | 1
+    for _ in range(spec.h - 1):
         layer = _add_members(spec, layer, N, a)
         cover |= layer
     return cover, layer
@@ -105,7 +106,7 @@ def verify_theorem1(spec: BasisSpec, N: int) -> BasisReport:
     t0 = time.perf_counter()
     if N < spec.h:
         raise DomainError(f"window bound {N} below order {spec.h}")
-    hA = _hfold(spec, N)[1]
+    hA = _hfold(spec, _add_members(spec, 1, N), N)[1]
     return _window_report(hA, N, list(range(spec.h)), t0)
 
 
@@ -116,7 +117,7 @@ def verify_theorem2(spec: BasisSpec, N: int) -> tuple[BasisReport, BasisReport]:
     t0 = time.perf_counter()
     if N < spec.h:
         raise DomainError(f"window bound {N} below order {spec.h}")
-    cover, hA = _hfold(spec, N)
+    cover, hA = _hfold(spec, _add_members(spec, 1, N), N)
     return (_window_report(cover, N, [], t0),
             _window_report(hA, N, list(range(spec.h)), t0))
 
@@ -391,8 +392,10 @@ class RemovabilityRow:
 def removability_scan(spec: BasisSpec, N: int,
                       elem_bound: int | None = None) -> list[RemovabilityRow]:
     """For each a in {0} union the members up to elem_bound, recompute the
-    h-fold window sumset of the 0-adjoined set without a.  Output is labeled
-    evidence: a finite window cannot settle an asymptotic claim."""
+    h-fold window sumset of the 0-adjoined set without a.  Its layer 1 is
+    the member mask with bit a cleared, so each a takes h - 1 kernel rounds
+    after the one enumeration.  Output is labeled evidence: a finite window
+    cannot settle an asymptotic claim."""
     if elem_bound is None:
         elem_bound = min(N, 64)
     elif elem_bound < 0:
@@ -403,7 +406,7 @@ def removability_scan(spec: BasisSpec, N: int,
     rows = []
     for a in elements:
         # h((A u {0}) minus {a}): removing 0 leaves hA
-        cover, hB = _hfold(spec, N, a)
+        cover, hB = _hfold(spec, window.mask & ~(1 << a), N, a)
         missing = ~(cover if a else hB) & clip
         last = missing.bit_length() - 1  # the largest miss, -1 for none
         covered_from = last + 1 if last < N else None

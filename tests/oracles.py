@@ -22,7 +22,7 @@ def count_reps_bruteforce(window: MemberWindow, n: int, h: int,
     if h < 1:
         raise DomainError(f"need h >= 1, got {h}")
     pool = [0] + window.members if zero_allowed else window.members
-    allowed = set(pool) if zero_allowed else window.member_set
+    allowed = frozenset(pool)
 
     def rec(slots: int, rem: int) -> int:
         if slots == 1:
@@ -66,7 +66,7 @@ def cross_check_witness(spec: BasisSpec, cert: WitnessCertificate,
     if n > window.N:
         raise DomainError(f"witness {n} exceeds window [0, {window.N}]")
     if (len(values) != spec.h or sum(values) != n
-            or not window.member_set.issuperset(values)):
+            or not frozenset(window.members).issuperset(values)):
         return False
     expected = len(set(itertools.permutations(values)))
     if count_reps_bruteforce(window, n, spec.h).ordered_count != expected:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shlex
 import subprocess
@@ -274,7 +275,26 @@ class TestMinimalityCommand:
         assert proc.stderr.startswith("error: counting engine bug")
 
 
+# sha256 of `explore --preset <name>` stdout, at the preset's own window
+# and with every member up to 600 removed; pins the scan rows byte for byte
+GOLDEN_EXPLORE = {
+    (): {"binary-h2": "6b27d9e910a1c739", "mixed23-h2": "2bf18a242ed25a08",
+         "h3-runs": "aa33c42c5ea07e6a", "h4-runs": "e6016b883e81fe70"},
+    ("--window", "600", "--elem-bound", "600"): {
+        "binary-h2": "cc1a5e9f645cce9b", "mixed23-h2": "e16dd9cc2fbb467b",
+        "h3-runs": "dea7d2bbcc69c8d4", "h4-runs": "2974fe2a8c56299a"},
+}
+
+
 class TestExploreCommand:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("extra", sorted(GOLDEN_EXPLORE))
+    def test_scan_matches_golden_digest(self, name, extra, capsys):
+        assert main(["explore", "--preset", name, *extra]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == \
+            GOLDEN_EXPLORE[extra][name]
+
     def test_zero_window_exits_2(self):
         assert main(["explore", "--window", "0"]) == 2
 

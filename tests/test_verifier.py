@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gadic.basis
 import gadic.repcount
 import gadic.verifier
 from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
@@ -52,10 +53,28 @@ def test_window_gaps_match_naive_scan(name):
     assert without.gaps == naive_window_gaps(spec, N)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that gets one entry per digit-box kernel round, counted in
+    both modules that call the kernel (enumerate in basis, the sumset
+    layers in verifier)."""
+    calls = []
+    real = gadic.basis._add_members
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(gadic.basis, "_add_members", counted)
+    monkeypatch.setattr(gadic.verifier, "_add_members", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_window_checks_make_no_member_shifts(name, monkeypatch):
+def test_window_checks_make_no_member_shifts(name, monkeypatch, kernel_calls):
     """Theorems 1 and 2 build their sumsets one digit position at a time:
-    neither enumerates members nor runs the member shift-OR."""
+    neither enumerates members nor runs the member shift-OR.  Each takes h
+    kernel rounds: the member mask is layer 1, and each of kA for
+    k = 2..h is one more round."""
     spec = load_preset(name).basis
 
     def refuse(*args, **kwargs):
@@ -64,7 +83,10 @@ def test_window_checks_make_no_member_shifts(name, monkeypatch):
     monkeypatch.setattr(BasisSpec, "enumerate", refuse)
     monkeypatch.setattr(gadic.repcount, "hfold_sumset_window", refuse)
     assert verify_theorem1(spec, 4096).passed
+    assert len(kernel_calls) == spec.h
+    kernel_calls.clear()
     assert all(r.passed for r in verify_theorem2(spec, 4096))
+    assert len(kernel_calls) == spec.h
 
 
 class TestTheorem2:
@@ -422,6 +444,16 @@ class TestRemovabilityScan:
     def test_random_configurations_match_member_route(self, spec):
         for N in (spec.h, spec.seq.value(1), 300):
             assert self.scan_rows(spec, N) == self.member_route_rows(spec, N)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("N, bound", [(32768, None), (600, 600)])
+    def test_each_removal_reuses_the_member_mask(self, name, N, bound,
+                                                 kernel_calls):
+        """One enumeration, then h - 1 kernel rounds per removed element:
+        the member mask minus a is the removal's layer 1."""
+        spec = load_preset(name).basis
+        rows = removability_scan(spec, N, elem_bound=bound)
+        assert len(kernel_calls) == 1 + len(rows) * (spec.h - 1)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_rows_match_naive_gap_extraction(self, name):
