@@ -6,6 +6,7 @@ domain or file error, 3 hypothesis violation, 4 window infeasible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -63,9 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    if args.config is not None:
-        return RunConfig.parse(args.config.read_text())
-    return load_preset(args.preset or "binary-h2")
+    cfg = (RunConfig.parse(args.config.read_text()) if args.config is not None
+           else load_preset(args.preset or "binary-h2"))
+    return dataclasses.replace(cfg, **{
+        key: value for key, value in vars(args).items()
+        if key in ("window", "t", "budget", "witnesses") and value is not None})
 
 
 def cmd_represent(cfg: RunConfig, args) -> int:
@@ -81,7 +84,7 @@ def cmd_represent(cfg: RunConfig, args) -> int:
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
-    N = args.window if args.window is not None else cfg.window
+    N = cfg.window
     if args.which == "theorem1":
         report = verify_theorem1(cfg.basis, N)
         print(f"theorem1 window [0,{N}]: gaps {report.gaps[:10]} "
@@ -107,10 +110,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_minimality(cfg: RunConfig, args) -> int:
-    t = args.t if args.t is not None else cfg.t
-    K = args.budget if args.budget is not None else cfg.budget
-    W = args.witnesses if args.witnesses is not None else cfg.witnesses
-    batch = verify_minimality(cfg.basis, t=t, K=K, W=W, override=args.override)
+    batch = verify_minimality(cfg.basis, t=cfg.t, K=cfg.budget,
+                              W=cfg.witnesses, override=args.override)
     out = args.out
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -131,7 +132,6 @@ def cmd_minimality(cfg: RunConfig, args) -> int:
 
 
 def cmd_explore(cfg: RunConfig, args) -> int:
-    N = args.window if args.window is not None else cfg.window
     if args.sweep_t is not None:
         # the whole list is checked before the first row is printed
         try:
@@ -155,8 +155,8 @@ def cmd_explore(cfg: RunConfig, args) -> int:
                 code = EXIT_FAIL
             print(f"t={t}: {'all certified' if batch.passed else 'certification failed'}")
         return code
-    rows = removability_scan(cfg.basis, N, elem_bound=args.elem_bound)
-    print(f"removability scan, 0-adjoined set, window [0,{N}] "
+    rows = removability_scan(cfg.basis, cfg.window, elem_bound=args.elem_bound)
+    print(f"removability scan, 0-adjoined set, window [0,{cfg.window}] "
           "(evidence only, not proof):")
     for row in rows:
         print(f"  remove {row.removed:<8} misses={row.miss_count:<6} {row.evidence}")

@@ -67,15 +67,16 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 # _SEGMENT_BOUND, and the polynomials below have degree below h times it.
 @lru_cache(maxsize=None)
 def _transitions(d: int, c: int, statuses: tuple[int, ...]
-                 ) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+                 ) -> tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]:
     """The digit multisets at a (quotient d, class c) position, or at a
     segment of class-c positions read as one digit of radix d.
 
     `statuses` is sorted.  Summands committed to a class other than c must
     take digit 0; the k committed to c take any digit in [0, d-1]; of the e
     EMPTY ones, m take a nonzero digit and commit to c, in C(e, m) ways.
-    Returns (next sorted statuses, digit sum, number of ordered digit
-    vectors) triples: the multiplicity of sum s for a given m is
+    Returns d groups of (next sorted statuses, digit sum, number of ordered
+    digit vectors) triples, group q holding the sums that are q mod d: the
+    multiplicity of sum s for a given m is
     C(e, m) [x^s] (1 + x + ... + x^(d-1))^k (x + ... + x^(d-1))^m.
     """
     e = statuses.count(EMPTY)
@@ -90,7 +91,8 @@ def _transitions(d: int, c: int, statuses: tuple[int, ...]
         ways = math.comb(e, m)
         out += [(nxt, s, ways * coef) for s, coef in enumerate(poly) if coef]
         poly = _poly_mul(poly, [0] + [1] * (d - 1))
-    return tuple(out)
+    return tuple(tuple(move for move in out if move[1] % d == q)
+                 for q in range(d))
 
 
 # Interned live-state sets, shared by all threads and configurations: _SETS[i]
@@ -108,51 +110,44 @@ def _intern(states: tuple) -> int:
         return _SET_IDS[states]
 
 
-# A compiled DP step: (next set id, its size, gather, fixups).  The ways of
-# target t are prev[gather[t]] plus prev[s] * m over its fixups (t, s, m);
-# gather is None when the step is the identity.
-_Step = tuple[int, int, tuple[int, ...] | None, tuple[tuple[int, int, int], ...]]
+# A compiled DP step: (next set id, gather, fixups).  The ways of target t
+# are prev[gather[t]] plus prev[s] * m over its fixups (t, s, m).
+_Step = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]
 
 
 # No size limit, like _transitions: per configuration the keys are its
 # reachable live sets times its (segment radix, class, segment digit)
 # triples.
 @lru_cache(maxsize=None)
-def _advance(set_id: int, d: int, c: int, r: int, h: int) -> _Step:
+def _advance(set_id: int, d: int, c: int, r: int) -> _Step:
     """One DP step from live set `set_id` over a class-c segment of radix
-    d where n reads r, compiled from the (source, target,
-    multiplicity) edges between the two live sets.
+    d where n reads r, compiled from the (source, target, multiplicity)
+    edges between the two live sets.  A source with carry v reads only the
+    _transitions group of the digit sums that are r - v mod d.
 
     Each target gathers one source index, a multiplicity-1 source where
-    it has one; its other edges become (target, source, multiplicity)
-    fixups, and a target with no unit source adds m - 1 for its gathered
-    source.  gather is None when the step is the identity: a nonempty
-    set of the same size whose every edge is (s, s, 1)."""
+    it has one (unit edges are taken first); its other edges become
+    (target, source, multiplicity) fixups, and a target with no unit
+    source adds m - 1 for its gathered source."""
     moves = []
     for s, (carry, statuses) in enumerate(_SETS[set_id]):
-        for sts, tot, mult in _transitions(d, c, statuses):
-            carry_out, rem = divmod(tot + carry, d)
-            if rem == r:
-                if carry_out > h:
-                    raise RuntimeError("counting engine bug: carry "
-                                       f"{carry_out} exceeds h={h}")
-                moves.append((s, (carry_out, sts), mult))
+        for sts, tot, mult in _transitions(d, c, statuses)[(r - carry) % d]:
+            carry_out = (tot + carry) // d
+            if carry_out > len(statuses):
+                raise RuntimeError("counting engine bug: carry "
+                                   f"{carry_out} exceeds h={len(statuses)}")
+            moves.append((s, (carry_out, sts), mult))
     states = tuple(sorted({key for _, key, _ in moves}))
     index = {key: t for t, key in enumerate(states)}
-    sources: list[list[tuple[int, int]]] = [[] for _ in states]
-    for s, key, m in moves:
-        sources[index[key]].append((s, m))
-    gather, fixups = [], []
-    for t, edges in enumerate(sources):
-        first = next((e for e in edges if e[1] == 1), edges[0])
-        edges.remove(first)
-        gather.append(first[0])
-        if first[1] > 1:
-            fixups.append((t, first[0], first[1] - 1))
-        fixups += [(t, s, m) for s, m in edges]
-    if states and not fixups and gather == list(range(len(_SETS[set_id]))):
-        return _intern(states), len(states), None, ()
-    return _intern(states), len(states), tuple(gather), tuple(fixups)
+    gather, fixups = [None] * len(states), []
+    for s, key, m in sorted(moves, key=lambda move: move[2] != 1):
+        t = index[key]
+        if gather[t] is None:
+            gather[t] = s
+            m -= 1
+        if m:
+            fixups.append((t, s, m))
+    return _intern(states), tuple(gather), tuple(fixups)
 
 
 # A DP state between steps: (live set id, ways per live state, most live
@@ -181,15 +176,14 @@ def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
     """Advance `state` over positions [lo, hi), where position j has
     quotient quots[j], class colors[j] and n's digit digit(j, 0), one step
     per segment: the segment's digits of n read in radix D = the product of
-    its quotients.  An identity step keeps `ways` as it is; any other step
-    gathers one source per target in C (`map` over the compiled gather) and
-    adds its fixups.  Stops early once the live set is empty (it stays
-    empty), and, when h equals the partition's number of classes, once it
-    is exactly {carry 0, one summand committed to each class}: every later
-    digit then belongs to exactly one summand and leaves no carry, so every
-    later step is the identity.  With h other than the class count that
-    set is not final (a class with no summand, or a spare summand), so the
-    walk goes on."""
+    its quotients.  Each step gathers one source per target in C (`map`
+    over the compiled gather) and adds its fixups.  Stops early once the
+    live set is empty (it stays empty), and, when h equals the partition's
+    number of classes, once it is exactly {carry 0, one summand committed
+    to each class}: every later digit then belongs to exactly one summand
+    and leaves no carry, so every later step leaves the state as it is.
+    With h other than the class count that set is not final (a class with
+    no summand, or a spare summand), so the walk goes on."""
     set_id, ways, peak = state
     done = _intern(((0, tuple(range(h))),)) if h == classes else -1
     j = lo
@@ -200,16 +194,14 @@ def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
             R += digit(j, 0) * D
             D *= quots[j]
             j += 1
-        set_id, size, gather, fixups = _advance(set_id, D, c, R, h)
-        if gather is None:
-            continue  # same size, so peak and emptiness are unchanged
+        set_id, gather, fixups = _advance(set_id, D, c, R)
         prev = ways
         ways = list(map(prev.__getitem__, gather))
         for t, s, mult in fixups:
             ways[t] += prev[s] * mult
-        if size > peak:
-            peak = size
-        elif not size:
+        if len(ways) > peak:
+            peak = len(ways)
+        elif not ways:
             break
     return set_id, ways, peak
 

@@ -19,7 +19,7 @@ from .basis import BasisSpec, _add_members
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
 from .repcount import _dp_accept, _dp_start, _dp_steps, \
-    check_prefix_inequality, sumset_gaps
+    check_prefix_inequality, count_reps_digitdp, sumset_gaps
 
 
 @dataclass
@@ -157,16 +157,17 @@ def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
     fams = _interval_families(spec, t, override)
     if W < 1:
         raise DomainError(f"need W >= 1, got W={W}")
-    return _witnesses(spec, t, a, W, fams, spec_hash(spec, t))
+    return _witnesses(spec, t, a, W, fams, spec_hash(spec, t))[1]
 
 
 def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
-               fams: IntervalFamilies, key: str) -> list[WitnessCertificate]:
+               fams: IntervalFamilies, key: str
+               ) -> tuple[dict[int, int], list[WitnessCertificate]]:
     """construct_witness past its checks, on the caller's interval families
     and config hash.  The W witnesses share every digit below their
     smallest M_i (a's digits and the other classes' maximal digits below
     M0), so that part is merged and evaluated once; each witness adds only
-    its M_i."""
+    its M_i.  Returns the shared digits and the witnesses."""
     rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
@@ -212,7 +213,7 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
             spec_hash=key, t=t, removed=a, removed_rep=rep_a, removed_class=i0,
             M0=M0, chosen_Ms=chosen, summands=summands, n_rep=n_rep,
             n_value=n_value, multiset=values))
-    return certs
+    return shared, certs
 
 
 def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertificate:
@@ -222,52 +223,27 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     multiset; measured is the exact DP count.  Equality means every ordered
     h-representation of n is a permutation of the constructed one, and since
     the removed element is in the multiset, n has no representation over the
-    set with a removed.
+    set with a removed.  The count runs from position 0, independently of
+    the prefix state verify_minimality carries between witnesses.
     """
-    return _certify(spec, [cert])[0]
+    return _settle(cert, spec.h,
+                   count_reps_digitdp(spec, cert.n_rep, spec.h).ordered_count)
 
 
-def _certify(spec: BasisSpec, certs: list[WitnessCertificate]
-             ) -> list[WitnessCertificate]:
-    """verify_witness on witnesses that share their digits below
-    L = min M_i of the first and have only zeros from L up to their own
-    smallest M_i.  One prefix state is carried upward: for each witness
-    the digit DP walks it on to that M_i and resumes from there over the
-    witness's own top digits.  A witness whose digits below its smallest
-    M_i differ from that prefix is a construction bug."""
-    h = spec.h
-    L = min(certs[0].chosen_Ms.values())
-    prefix = {j: x for j, x in certs[0].n_rep.items() if j < L}
-    top = max(cert.n_rep.max_index() for cert in certs)
-    quots, colors = spec._positions(top + 1)
-    state, pos = _dp_start(h), 0
-    for cert in certs:
-        low = min(cert.chosen_Ms.values())
-        digits = cert.n_rep.digits
-        if {j: x for j, x in digits.items() if j < low} != prefix:
-            raise RuntimeError(f"witness construction bug: n={cert.n_value} "
-                               f"does not share the digits below {low}")
-        if low < pos:  # the prefix state is past this witness's M_i
-            state, pos = _dp_start(h), 0
-        # the DP's order h is the partition's class count here
-        state = _dp_steps(state, quots, colors, prefix.get, pos, low, h, h)
-        pos = low
-        own = _dp_steps(state, quots, colors, digits.get, low,
-                        cert.n_rep.max_index() + 1, h, h)
-        measured = _dp_accept(own, zero_allowed=False).ordered_count
-        values = cert.multiset
-        expected = math.factorial(h)
-        for v in set(values):
-            expected //= math.factorial(values.count(v))
-        if measured < expected:
-            raise RuntimeError(
-                f"counting engine bug: measured {measured} < expected {expected} "
-                f"but the constructed representation exists")
-        cert.expected_count = expected
-        cert.measured_count = measured
-        cert.verdict = "certified" if (measured == expected
-                                       and cert.removed in values) else "failed"
-    return certs
+def _settle(cert: WitnessCertificate, h: int,
+            measured: int) -> WitnessCertificate:
+    """verify_witness's verdict on the measured count."""
+    values = cert.multiset
+    expected = math.factorial(h) // math.prod(
+        math.factorial(values.count(v)) for v in set(values))
+    if measured < expected:
+        raise RuntimeError(f"counting engine bug: measured {measured} < expected "
+                           f"{expected} but the constructed representation exists")
+    cert.expected_count = expected
+    cert.measured_count = measured
+    cert.verdict = "certified" if (measured == expected
+                                   and cert.removed in values) else "failed"
+    return cert
 
 
 @dataclass
@@ -284,7 +260,9 @@ class MinimalityBatch:
 def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
                       override: bool = False) -> MinimalityBatch:
     """Certify the first K members with W witnesses each (see
-    construct_witness for how the W witnesses of a member are chosen)."""
+    construct_witness for how the W witnesses of a member are chosen).  One
+    DP state per member walks the shared digits up to each witness's
+    smallest M_i, which strictly increases, and resumes from there."""
     fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
@@ -300,9 +278,26 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     members = window.members[:K]
 
     batch = MinimalityBatch(theorem1=report1)
-    key = spec_hash(spec, t)
+    key, h = spec_hash(spec, t), spec.h
     for a in members:
-        batch.certificates += _certify(spec, _witnesses(spec, t, a, W, fams, key))
+        shared, certs = _witnesses(spec, t, a, W, fams, key)
+        quots, colors = spec._positions(max(c.n_rep.max_index() for c in certs) + 1)
+        state, pos = _dp_start(h), 0
+        for cert in certs:
+            low = min(cert.chosen_Ms.values())
+            if low < pos:
+                raise RuntimeError(f"witness construction bug: n={cert.n_value}: "
+                                   f"M_i {low} below the carried position {pos}")
+            if {j: x for j, x in cert.n_rep.items() if j < low} != shared:
+                raise RuntimeError(f"witness construction bug: n={cert.n_value} "
+                                   f"does not share the digits below {low}")
+            # the DP's order h is the partition's class count here
+            state = _dp_steps(state, quots, colors, shared.get, pos, low, h, h)
+            pos = low
+            own = _dp_steps(state, quots, colors, cert.n_rep.digits.get, low,
+                            cert.n_rep.max_index() + 1, h, h)
+            _settle(cert, h, _dp_accept(own, zero_allowed=False).ordered_count)
+        batch.certificates += certs
     return batch
 
 

@@ -94,6 +94,16 @@ def ordered_transitions(d: int, c: int, statuses: tuple[int, ...]):
     return [(sts, tot, mult) for (sts, tot), mult in acc.items()]
 
 
+def ordered_edges(d: int, c: int, statuses: tuple[int, ...]):
+    """ordered_transitions merged by sorted next statuses: the edges of
+    repcount._transitions, from the ordered enumeration."""
+    acc: dict[tuple[tuple[int, ...], int], int] = {}
+    for sts, tot, mult in ordered_transitions(d, c, statuses):
+        key = (tuple(sorted(sts)), tot)
+        acc[key] = acc.get(key, 0) + mult
+    return [(sts, tot, mult) for (sts, tot), mult in acc.items()]
+
+
 def ordered_digitdp(spec: BasisSpec, n: DigitRep, h: int,
                     zero_allowed: bool = False,
                     resume_at: int = 0) -> tuple[int, int, int]:
@@ -315,10 +325,11 @@ class TestInternedSets:
         transitions = repcount._transitions
 
         def broken(d, c, statuses):
-            # digit sums h digits below d cannot reach, one per residue mod d
+            # digit sums h digits below d cannot reach, one per residue mod
+            # d, each in its residue group
             h = len(statuses)
-            return transitions(d, c, statuses) + tuple(
-                (statuses, s, 1) for s in range(d * (h + 1), d * (h + 2)))
+            return tuple(group + ((statuses, q + d * (h + 1), 1),)
+                         for q, group in enumerate(transitions(d, c, statuses)))
 
         monkeypatch.setattr(repcount, "_transitions", broken)
         spec = load_preset("binary-h2").basis
@@ -331,8 +342,8 @@ class TestInternedSets:
 
     def test_cold_and_warm_caches_agree(self, clear_dp_caches):
         # the two h = 2 presets share set ids and memo entries; uniform
-        # inputs walk mostly identity steps, and dense sums on h3-runs and
-        # h4-runs walk steps with fixups
+        # inputs reach the early exit within a few steps, and dense sums on
+        # h3-runs and h4-runs walk steps with fixups
         specs = [load_preset(name).basis for name in sorted(PRESETS)]
         rng = random.Random(5)
         calls = [(spec, spec.seq.represent(n), zero_allowed)
@@ -359,7 +370,7 @@ class TestInternedSets:
     def test_compiled_steps_match_the_edge_sums(self, monkeypatch):
         # every step the DP memoizes on uniform inputs and dense sums of
         # all presets, applied by _dp_steps to random ways, against the
-        # plain sum over the _transitions edges
+        # plain sum over the ordered oracle's edges
         advance, keys = repcount._advance, set()
 
         def recorded(*key):
@@ -373,18 +384,21 @@ class TestInternedSets:
                 for n in (rng.randrange(1 << 96), dense_sum(spec, c, 96, rng)):
                     count_reps_digitdp(spec, spec.seq.represent(n), spec.h)
         monkeypatch.undo()
-        kinds = set()
-        for set_id, d, c, r, h in sorted(keys):
-            next_id, size, gather, fixups = advance(set_id, d, c, r, h)
-            if gather is None:
-                kinds.add("identity")
-            elif any(gather[t] == s for t, s, _ in fixups):
-                kinds.add("no unit source")
+        no_unit_source = False
+        for set_id, d, c, r in sorted(keys):
+            next_id, gather, fixups = advance(set_id, d, c, r)
+            no_unit_source |= any(gather[t] == s for t, s, _ in fixups)
             source = repcount._SETS[set_id]
+            h = len(source[0][1])
             prev = [rng.randrange(1 << 64) for _ in source]
             expected: dict[tuple, int] = {}
             for (carry, statuses), w in zip(source, prev):
-                for sts, tot, mult in repcount._transitions(d, c, statuses):
+                # group q holds the oracle's edges whose digit sum is q mod d
+                edges = ordered_edges(d, c, statuses)
+                assert [sorted(group) for group in
+                        repcount._transitions(d, c, statuses)] == [
+                    sorted(e for e in edges if e[1] % d == q) for q in range(d)]
+                for sts, tot, mult in edges:
                     carry_out, rem = divmod(tot + carry, d)
                     if rem == r:
                         key = (carry_out, sts)
@@ -393,9 +407,9 @@ class TestInternedSets:
                 (set_id, prev, len(prev)), [d], [c], lambda j, zero: r, 0, 1,
                 h, h + 1)  # no class count equal to h: no early exit
             assert got_id == next_id
-            assert size == len(ways) == len(repcount._SETS[next_id])
+            assert len(gather) == len(ways) == len(repcount._SETS[next_id])
             assert dict(zip(repcount._SETS[next_id], ways)) == expected
-        assert kinds == {"identity", "no unit source"}
+        assert no_unit_source
 
     def test_threads_share_the_intern_table(self, clear_dp_caches):
         specs = [load_preset(name).basis for name in sorted(PRESETS)]
@@ -528,9 +542,9 @@ def recorded_radices(monkeypatch, run) -> list[int]:
     """The radix D of every DP step that run() takes."""
     advance, radices = repcount._advance, []
 
-    def recorded(set_id, d, c, r, h):
+    def recorded(set_id, d, c, r):
         radices.append(d)
-        return advance(set_id, d, c, r, h)
+        return advance(set_id, d, c, r)
 
     monkeypatch.setattr(repcount, "_advance", recorded)
     run()

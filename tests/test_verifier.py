@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gadic.basis
 import gadic.repcount
 import gadic.verifier
+from gadic import cli
 from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    HypothesisViolatedError, PartitionSpec, construct_witness,
                    count_reps_digitdp, load_preset, min_t, removability_scan,
@@ -283,6 +284,17 @@ class TestMinimalityBatch:
             verify_minimality(binary_pairs, t=2, K=K, W=W)
 
 
+def preset_examples(test):
+    """Explicit examples of every preset at its shipped t (the threshold),
+    budget and witnesses."""
+    for name in sorted(PRESETS):
+        cfg = load_preset(name)
+        assert cfg.t == min_t(cfg.partition.h)
+        test = example(spec=cfg.basis, K=cfg.budget, W=cfg.witnesses,
+                       below=0)(test)
+    return test
+
+
 class TestSharedPrefix:
     """verify_minimality builds a member's W witnesses from their shared
     digits below L = min M_i of the first witness and counts them from one
@@ -291,8 +303,11 @@ class TestSharedPrefix:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(spec=configurations(min_run=3).filter(lambda spec: spec.h <= 3),
            K=st.integers(1, 6), W=st.integers(1, 6), below=st.integers(0, 2))
+    @preset_examples
     def test_batch_matches_one_witness_at_a_time(self, spec, K, W, below):
-        # t at the threshold, or below it with override
+        # the batch's carried prefix state against verify_witness, which
+        # counts from position 0; t at the threshold, or below it with
+        # override
         t = max(1, min_t(spec.h) - below)
         override = t < min_t(spec.h)
         batch = verify_minimality(spec, t, K, W, override=override)
@@ -327,48 +342,48 @@ class TestSharedPrefix:
             expected += [(pos, low), (low, cert.n_rep.max_index() + 1)]
         assert walks == expected
 
+    @staticmethod
+    def refused(name, K, tamper, message, monkeypatch, capsys):
+        """verify_minimality and `gadic minimality` on preset `name` with
+        K members and 4 witnesses each, where _witnesses hands back
+        tamper(spec, t, a, certs) in place of a's witnesses: a construction
+        bug matching `message`, exit 1."""
+        cfg, real = load_preset(name), gadic.verifier._witnesses
+
+        def tampered(spec, t, a, W, fams, key):
+            shared, certs = real(spec, t, a, W, fams, key)
+            return shared, tamper(spec, t, a, certs)
+
+        monkeypatch.setattr(gadic.verifier, "_witnesses", tampered)
+        with pytest.raises(RuntimeError, match=message) as exc:
+            verify_minimality(cfg.basis, cfg.t, K=K, W=4)
+        assert cli.main(["minimality", "--preset", name, "--budget", str(K),
+                         "--witnesses", "4"]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_witnesses_in_any_order(self, name, monkeypatch):
-        # a witness whose smallest M_i lies below the carried prefix state
-        # restarts the prefix walk from 0
-        cfg = load_preset(name)
-        spec = cfg.basis
-        real, walks = gadic.verifier._dp_steps, []
+    def test_witnesses_out_of_order_refused(self, name, monkeypatch, capsys):
+        # a witness whose smallest M_i lies below the carried position
+        def shuffled(spec, t, a, certs):
+            return [certs[k] for k in (3, 1, 0, 2)]
 
-        def recorded(state, quots, colors, digit, lo, hi, h, classes):
-            walks.append((lo, hi))
-            return real(state, quots, colors, digit, lo, hi, h, classes)
+        self.refused(name, 1, shuffled, r"^witness construction bug: n=\d+: "
+                     r"M_i \d+ below the carried position \d+$",
+                     monkeypatch, capsys)
 
-        for a in spec.enumerate(64).members[:3]:
-            certs = construct_witness(spec, cfg.t, a, W=4)
-            ordered = [c.render(spec) for c in
-                       gadic.verifier._certify(spec, certs)]
-            shuffled = [certs[k] for k in (3, 1, 0, 2)]
-            monkeypatch.setattr(gadic.verifier, "_dp_steps", recorded)
-            walks.clear()
-            gadic.verifier._certify(spec, shuffled)
-            monkeypatch.undo()
-            assert [c.render(spec) for c in certs] == ordered
-            assert all(c.verdict == "certified" for c in certs)
-            lows = [min(c.chosen_Ms.values()) for c in shuffled]
-            assert lows[1] < lows[0] and lows[2] < lows[1] < lows[3]
-            tops = [c.n_rep.max_index() + 1 for c in shuffled]
-            assert walks == [(0, lows[0]), (lows[0], tops[0]),
-                             (0, lows[1]), (lows[1], tops[1]),
-                             (0, lows[2]), (lows[2], tops[2]),
-                             (lows[2], lows[3]), (lows[3], tops[3])]
-
-    def test_witness_with_other_low_digits_refused(self):
+    def test_witness_with_other_low_digits_refused(self, monkeypatch, capsys):
         # h3-runs members 4 and 5 share M0 = 2 and every M_i, but not the
         # digits below M0
-        spec = load_preset("h3-runs").basis
-        certs = construct_witness(spec, 3, 4, W=3)
-        other = construct_witness(spec, 3, 5, W=3)[1]
-        assert other.chosen_Ms == certs[1].chosen_Ms
-        certs[1] = other
-        with pytest.raises(RuntimeError, match=r"^witness construction bug: "
-                           r"n=\d+ does not share the digits below 14$"):
-            gadic.verifier._certify(spec, certs)
+        def swapped(spec, t, a, certs):
+            if a != 4:
+                return certs
+            other = construct_witness(spec, t, 5, W=4)[1]
+            assert other.chosen_Ms == certs[1].chosen_Ms
+            return [certs[0], other] + certs[2:]
+
+        self.refused("h3-runs", 4, swapped, r"^witness construction bug: "
+                     r"n=\d+ does not share the digits below 14$",
+                     monkeypatch, capsys)
 
 
 class TestThresholdGuard:
