@@ -72,9 +72,6 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_represent(cfg: RunConfig, args) -> int:
-    if args.n < 0:
-        print("error: n must be nonnegative", file=sys.stderr)
-        return EXIT_CONFIG
     rep = cfg.seq.represent(args.n)
     if rep.is_zero():
         print(" (M undefined)")

@@ -30,6 +30,7 @@ class DigitRangeError(ValueError):
     """A digit violates its allowed range [1, d_{j+1} - 1]."""
 
 
+@dataclass
 class GadicSequence:
     """The quotient stream (d_i), a lazily grown scale table and the digit
     tables of `represent`.
@@ -41,19 +42,24 @@ class GadicSequence:
     (see `_cut_runs`), built on the first `represent`.
     """
 
-    def __init__(self, period: list[int], prefix: list[int] | None = None):
-        prefix = list(prefix) if prefix else []
-        period = list(period)
-        if not period:
+    period: list[int]
+    prefix: list[int] | None = None
+    _cache: list[int] = field(init=False, repr=False, compare=False)
+    _quot: list[int] = field(init=False, repr=False, compare=False)
+    _runs: tuple[list[_Run], list[_Run]] | None = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.prefix = list(self.prefix) if self.prefix else []
+        self.period = list(self.period)
+        if not self.period:
             raise ValueError("period must be nonempty")
-        for d in prefix + period:
+        for d in self.prefix + self.period:
             if d < 2:
                 raise ValueError(f"quotient {d} < 2")
-        self.prefix = prefix
-        self.period = period
         self._cache = [1]  # g_0
-        self._quot: list[int] = []
-        self._runs: tuple[list[_Run], list[_Run]] | None = None
+        self._quot = []
+        self._runs = None
 
     def quotient(self, i: int) -> int:
         """d_i for i >= 1 (prefix lookup, then periodic)."""
@@ -139,14 +145,6 @@ class GadicSequence:
         parts = _parse_fields(text, ("prefix", "period"))
         return cls(prefix=_parse_int_list(parts["prefix"]),
                    period=_parse_int_list(parts["period"]))
-
-    def __repr__(self) -> str:
-        return f"GadicSequence(prefix={self.prefix}, period={self.period})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GadicSequence):
-            return NotImplemented
-        return self.prefix == other.prefix and self.period == other.period
 
 
 @dataclass(frozen=True)

@@ -17,28 +17,29 @@ class HypothesisViolatedError(RuntimeError):
     """A construction hypothesis fails (e.g. an empty interval family)."""
 
 
+@dataclass
 class PartitionSpec:
     """Coloring of the nonnegative integers into classes 0..h-1."""
 
-    def __init__(self, h: int, period_colors: list[int],
-                 prefix_colors: list[int] | None = None):
-        prefix_colors = list(prefix_colors) if prefix_colors else []
-        period_colors = list(period_colors)
-        if h < 2:
-            raise ValueError(f"need at least 2 classes, got h={h}")
-        if not period_colors:
+    h: int
+    period_colors: list[int]
+    prefix_colors: list[int] | None = None
+
+    def __post_init__(self):
+        self.prefix_colors = list(self.prefix_colors) if self.prefix_colors else []
+        self.period_colors = list(self.period_colors)
+        if self.h < 2:
+            raise ValueError(f"need at least 2 classes, got h={self.h}")
+        if not self.period_colors:
             raise ValueError("period_colors must be nonempty")
-        for c in prefix_colors + period_colors:
-            if not 0 <= c < h:
-                raise ValueError(f"color {c} outside [0, {h - 1}]")
-        missing = set(range(h)) - set(period_colors)
+        for c in self.prefix_colors + self.period_colors:
+            if not 0 <= c < self.h:
+                raise ValueError(f"color {c} outside [0, {self.h - 1}]")
+        missing = set(range(self.h)) - set(self.period_colors)
         if missing:
             raise ValueError(
                 f"classes {sorted(missing)} absent from the period; "
                 "every class must recur infinitely often")
-        self.h = h
-        self.prefix_colors = prefix_colors
-        self.period_colors = period_colors
 
     def color(self, j: int) -> int:
         if j < 0:
@@ -57,16 +58,6 @@ class PartitionSpec:
         return cls(h=int(parts["h"]),
                    prefix_colors=_parse_int_list(parts["prefix"]),
                    period_colors=_parse_int_list(parts["period"]))
-
-    def __repr__(self) -> str:
-        return (f"PartitionSpec(h={self.h}, prefix={self.prefix_colors}, "
-                f"period={self.period_colors})")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PartitionSpec):
-            return NotImplemented
-        return (self.h == other.h and self.prefix_colors == other.prefix_colors
-                and self.period_colors == other.period_colors)
 
 
 def min_t(h: int) -> int:

@@ -102,12 +102,9 @@ def _hfold(spec: BasisSpec, B: int, N: int, a: int = 0) -> tuple[int, int]:
 
 
 def verify_theorem1(spec: BasisSpec, N: int) -> BasisReport:
-    """Pass iff the h-fold sumset over [0, N] misses exactly [0, h-1]."""
-    t0 = time.perf_counter()
-    if N < spec.h:
-        raise DomainError(f"window bound {N} below order {spec.h}")
-    hA = _hfold(spec, _add_members(spec, 1, N), N)[1]
-    return _window_report(hA, N, list(range(spec.h)), t0)
+    """Pass iff the h-fold sumset over [0, N] misses exactly [0, h-1]:
+    Theorem 2's part (b), the second report of `verify_theorem2`."""
+    return verify_theorem2(spec, N)[1]
 
 
 def verify_theorem2(spec: BasisSpec, N: int) -> tuple[BasisReport, BasisReport]:

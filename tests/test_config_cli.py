@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -72,11 +73,42 @@ class TestRepresentCommand:
         assert main(["represent", "--n", "0"]) == 0
         assert "M undefined" in capsys.readouterr().out
 
-    def test_negative_exits_2(self):
+    def test_negative_exits_2(self, capsys):
         assert main(["represent", "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot represent negative integer -1\n"
+
+
+# sha256 of `check <theorem> --preset <name> --window <N>` stdout, with
+# theorem1's `(1.23s)` timing masked as `(…s)`
+GOLDEN_THEOREM = {
+    ("theorem1", "2000"): {
+        "binary-h2": "ae308348e98a321d", "mixed23-h2": "ae308348e98a321d",
+        "h3-runs": "d71b82f755dc3d82", "h4-runs": "40f8c9b406df5954"},
+    ("theorem1", "131072"): {
+        "binary-h2": "66342fe72b63479b", "mixed23-h2": "66342fe72b63479b",
+        "h3-runs": "5b8b12a2d0979971", "h4-runs": "b4f837a2ae89b2a2"},
+    ("theorem2", "2000"): {
+        "binary-h2": "dedfb5c292e154e7", "mixed23-h2": "dedfb5c292e154e7",
+        "h3-runs": "6be34ddfce785a5a", "h4-runs": "ecf5575c11267d47"},
+    ("theorem2", "131072"): {
+        "binary-h2": "b6d5be967c769ceb", "mixed23-h2": "b6d5be967c769ceb",
+        "h3-runs": "b88b0e1c966f7299", "h4-runs": "ea58bb9d7f42fe31"},
+}
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("which, window", sorted(GOLDEN_THEOREM))
+    def test_theorem_checks_match_golden_digest(self, which, window, name,
+                                                capsys):
+        assert main(["check", which, "--preset", name,
+                     "--window", window]) == 0
+        out = re.sub(r"\(\d+\.\d+s\)", "(…s)", capsys.readouterr().out)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == \
+            GOLDEN_THEOREM[which, window][name]
+
     def test_theorem1_pass(self, capsys):
         assert main(["check", "theorem1", "--window", "2000"]) == 0
         assert "pass" in capsys.readouterr().out

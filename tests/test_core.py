@@ -208,6 +208,46 @@ class TestSerialization:
         assert GadicSequence.parse(seq.serialize()) == seq
 
 
+class TestValueType:
+    """A sequence is its two quotient lists; the grown tables are not."""
+
+    def test_equality_ignores_grown_tables(self):
+        grown = GadicSequence([2, 3], prefix=[4])
+        grown.value(60)
+        grown.represent(10**40)
+        grown.leading_index(10**40)
+        fresh = GadicSequence([2, 3], prefix=[4])
+        assert grown == fresh and fresh == grown
+        assert grown != GadicSequence([3, 2], prefix=[4])
+        assert grown != GadicSequence([2, 3])
+
+    def test_constructor_copies_lists(self):
+        period, prefix = [2, 3], [4]
+        seq = GadicSequence(period, prefix)
+        period.append(5)
+        prefix[0] = 7
+        assert (seq.period, seq.prefix) == ([2, 3], [4])
+        assert seq.value(3) == 24
+        assert GadicSequence((2, 3), (4,)) == seq
+
+    def test_missing_prefix_is_empty_list(self):
+        assert GadicSequence([2]).prefix == []
+        assert GadicSequence([2], None).prefix == []
+        assert GadicSequence([2], []) == GadicSequence([2])
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(GadicSequence([2]))
+
+    def test_repr_ignores_grown_tables(self):
+        seq = GadicSequence([2, 3], prefix=[4])
+        before = repr(seq)
+        seq.value(60)
+        seq.represent(10**40)
+        seq.leading_index(10**40)
+        assert repr(seq) == before
+
+
 def test_lazy_cache_concurrent_extension(mixed23):
     import threading
     results = []

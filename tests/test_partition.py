@@ -43,6 +43,43 @@ class TestValidation:
         assert PartitionSpec.parse(part.serialize()) == part
 
 
+class TestValueType:
+    """A coloring is its order and its two color lists."""
+
+    def test_equality_by_value(self):
+        part = PartitionSpec(2, [0, 1], [1])
+        part.color(10**6)
+        detect_interval_families(part, 2)
+        assert part == PartitionSpec(h=2, period_colors=[0, 1], prefix_colors=[1])
+        assert part != PartitionSpec(2, [0, 1])
+        assert part != PartitionSpec(3, [0, 1, 2], [1])
+
+    def test_constructor_copies_lists(self):
+        period, prefix = [0, 1], [1]
+        part = PartitionSpec(2, period, prefix)
+        period.append(1)
+        prefix[0] = 0
+        assert (part.period_colors, part.prefix_colors) == ([0, 1], [1])
+        assert part.color(0) == 1
+        assert PartitionSpec(2, (0, 1), (1,)) == part
+
+    def test_missing_prefix_is_empty_list(self):
+        assert PartitionSpec(2, [0, 1]).prefix_colors == []
+        assert PartitionSpec(2, [0, 1], None).prefix_colors == []
+        assert PartitionSpec(2, [0, 1], []) == PartitionSpec(2, [0, 1])
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(PartitionSpec(2, [0, 1]))
+
+    def test_repr_ignores_use(self):
+        part = PartitionSpec(2, [0, 0, 1, 1], [1])
+        before = repr(part)
+        part.color(10**6)
+        detect_interval_families(part, 2)
+        assert repr(part) == before
+
+
 class TestMinT:
     @pytest.mark.parametrize("h,t", [(2, 2), (3, 3), (4, 3), (8, 4)])
     def test_values(self, h, t):
