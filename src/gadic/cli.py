@@ -26,6 +26,21 @@ EXIT_HYPOTHESIS = 3
 EXIT_WINDOW = 4
 
 
+def _int_arg(text: str) -> int:
+    """`int(text)`; past CPython's int/str digit limit the error names the
+    limit and the digit count instead of echoing the input."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = sum(map(str.isdigit, text))
+        limit = sys.get_int_max_str_digits()
+        if limit and digits > limit:
+            raise argparse.ArgumentTypeError(
+                f"{digits} decimal digits exceed Python's int/str conversion "
+                f"limit of {limit} (sys.get_int_max_str_digits())") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -39,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("represent", parents=[common],
                         help="print the digit expansion of n")
-    sp.add_argument("--n", required=True, type=int)
+    sp.add_argument("--n", required=True, type=_int_arg)
 
     sp = sub.add_parser("check", parents=[common], help="run one verification suite")
     sp.add_argument("which", choices=["theorem1", "theorem2", "lemma1", "lemma2"])

@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, cycle
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # Largest block radix of a run of quotients; a run's digit table has one
 # row per remainder, so this bounds each table at 256 rows.
@@ -20,6 +20,14 @@ _BLOCK = 1 << 8
 # (block radix B, width, rows): rows[r] holds the (offset, digit) pairs of
 # the nonzero digits of r < B; None for a lone quotient above _BLOCK.
 _Run = tuple[int, int, "list[tuple[tuple[int, int], ...]] | None"]
+# (prefix runs, cycle runs, g_L * Q, g_L, leaf radix Q, positions Q spans)
+_Tables = tuple[list[_Run], list[_Run], int, int, int, int]
+
+# `represent`'s leaf radix Q is the smallest power of the cycle radix with
+# more than this many bits; the run tables read the leaves below Q one
+# `divmod` per run.  On [2] at 8,192 bits, leaves of 64, 128, 256, 512 and
+# 1024 bits took 0.60, 0.57, 0.53, 0.53 and 0.60 ms.
+_LEAF_BITS = 256
 
 
 class DomainError(ValueError):
@@ -38,15 +46,16 @@ class GadicSequence:
     The scale table holds g_0..g_k in `_cache` and, in step with it, the
     quotients d_1..d_k in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit
     j).  Only `value` grows it; the digit loops index both lists directly.
-    `_runs` holds the prefix runs and the period runs of the quotient stream
-    (see `_cut_runs`), built on the first `represent`.
+    `_runs` holds the prefix runs and the cycle runs of the quotient stream
+    (see `_cut_runs`) with the radices `represent` splits at (see
+    `_digit_tables`), built on the first `represent`.
     """
 
     period: list[int]
     prefix: list[int] | None = None
     _cache: list[int] = field(init=False, repr=False, compare=False)
     _quot: list[int] = field(init=False, repr=False, compare=False)
-    _runs: tuple[list[_Run], list[_Run]] | None = field(
+    _runs: _Tables | None = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,32 +92,31 @@ class GadicSequence:
     def represent(self, n: int) -> "DigitRep":
         """The unique sparse digit map of n >= 0; 0 maps to the empty rep.
 
-        Divides n down the quotient stream one run at a time: the remainder
-        modulo the run's block radix selects a table row holding that
-        block's nonzero digits.  The scale table is not touched.
+        The run tables read n one `divmod` per block (`_read_runs`) when n
+        is below g_L * Q, L the prefix length and Q the leaf radix (see
+        `_digit_tables`).  A larger n gives up its prefix digits with one
+        `divmod` by g_L, and the quotient is split at cycle-aligned indices
+        by `divmod`s by Q, Q^2, Q^4, ... down to leaves below Q (`_split`),
+        so no division runs across all of n once per block.  The scale
+        table is not touched.
         """
         if n < 0:
             raise DomainError(f"cannot represent negative integer {n}")
         if self._runs is None:
-            # as many whole periods per run as fit: [2] -> 2^8, [2, 3] -> 6^3
-            reps = 1
-            P = math.prod(self.period)
-            while P ** (reps + 1) <= _BLOCK:
-                reps += 1
-            self._runs = (_cut_runs(self.prefix), _cut_runs(self.period * reps))
+            self._runs = _digit_tables(self.prefix, self.period)
+        prefix_runs, cycle_runs, bound, g_L, leaf, width = self._runs
         digits: dict[int, int] = {}
-        j = 0
-        for B, width, rows in chain(self._runs[0], cycle(self._runs[1])):
-            if not n:
-                break
-            n, r = divmod(n, B)
-            if rows is None:
-                if r:
-                    digits[j] = r
-            else:
-                for o, x in rows[r]:
-                    digits[j + o] = x
-            j += width
+        if n < bound:
+            _read_runs(n, chain(prefix_runs, cycle(cycle_runs)), 0, digits)
+        else:
+            n, r = divmod(n, g_L)
+            _read_runs(r, prefix_runs, 0, digits)
+            # n < powers[-1]^2 once 2 * (bits of powers[-1] - 1) >= bits of n
+            powers, bits = [leaf], n.bit_length()
+            while 2 * powers[-1].bit_length() - 2 < bits:
+                powers.append(powers[-1] * powers[-1])
+            _split(n, len(self.prefix), len(powers) - 1, powers, width,
+                   cycle_runs, digits)
         return DigitRep._trusted(digits)
 
     def evaluate(self, rep: "DigitRep") -> int:
@@ -222,6 +230,66 @@ def _cut_runs(quots: list[int]) -> list[_Run]:
         runs.append((B, end - start, rows))
         start = end
     return runs
+
+
+def _digit_tables(prefix: list[int], period: list[int]) -> _Tables:
+    """`represent`'s tables (see `_Tables`).  The cycle repeats the period
+    as many whole times as fit in one run ([2] -> 2^8, [2, 3] -> 6^3), and
+    the leaf radix Q is the smallest power of its radix with more than
+    _LEAF_BITS bits."""
+    reps = 1
+    P = math.prod(period)
+    while P ** (reps + 1) <= _BLOCK:
+        reps += 1
+    P **= reps
+    leaf, cycles = P, 1
+    while leaf.bit_length() <= _LEAF_BITS:
+        leaf *= P
+        cycles += 1
+    g_L = math.prod(prefix)
+    return (_cut_runs(prefix), _cut_runs(period * reps), g_L * leaf, g_L,
+            leaf, cycles * reps * len(period))
+
+
+def _read_runs(n: int, runs: Iterable[_Run], j: int,
+               digits: dict[int, int]) -> None:
+    """Insert the digits of n from index j up into `digits`, one `divmod`
+    per run of `runs` until n is used up: the remainder modulo the run's
+    block radix selects the table row holding that block's digits."""
+    for B, width, rows in runs:
+        if not n:
+            break
+        n, r = divmod(n, B)
+        if rows is None:
+            if r:
+                digits[j] = r
+        else:
+            for o, x in rows[r]:
+                digits[j + o] = x
+        j += width
+
+
+def _split(n: int, j: int, level: int, powers: list[int], width: int,
+           runs: list[_Run], digits: dict[int, int]) -> None:
+    """Insert the digits of n < powers[level + 1], read from the
+    cycle-aligned index j, into `digits` in ascending index order.
+
+    powers[i] = Q^(2^i) spans width << i positions: n mod powers[level]
+    goes one level down at j, n // powers[level] one level down past it,
+    and the run tables read the leaves (level -1).  Module-level, since a
+    nested function that calls itself is a reference cycle and would leave
+    each large call's digit dict to the cyclic garbage collector."""
+    if level < 0:
+        _read_runs(n, cycle(runs), j, digits)
+        return
+    hi = 0
+    if n >= powers[level]:
+        hi, n = divmod(n, powers[level])
+    if n:
+        _split(n, j, level - 1, powers, width, runs, digits)
+    if hi:
+        _split(hi, j + (width << level), level - 1, powers, width, runs,
+               digits)
 
 
 def _parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, str]:

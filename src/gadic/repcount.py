@@ -155,9 +155,16 @@ def _advance(set_id: int, d: int, c: int, r: int) -> _Step:
 _DPState = tuple[int, list[int], int]
 
 
+@lru_cache(maxsize=None)
+def _end_sets(h: int) -> tuple[int, int]:
+    """Ids of the live set below position 0 (carry 0, every summand EMPTY)
+    and of the final one (carry 0, summand i committed to class i)."""
+    return _intern(((0, (EMPTY,) * h),)), _intern(((0, tuple(range(h))),))
+
+
 def _dp_start(h: int) -> _DPState:
     """The state below position 0: carry 0, every summand EMPTY."""
-    return _intern(((0, (EMPTY,) * h),)), [1], 1
+    return _end_sets(h)[0], [1], 1
 
 
 # A DP step covers a segment: a run of consecutive positions of one class
@@ -185,7 +192,7 @@ def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
     With h other than the class count that set is not final (a class with
     no summand, or a spare summand), so the walk goes on."""
     set_id, ways, peak = state
-    done = _intern(((0, tuple(range(h))),)) if h == classes else -1
+    done = _end_sets(h)[1] if h == classes else -1
     j = lo
     while j < hi and set_id != done:
         c, D, R = colors[j], quots[j], digit(j, 0)

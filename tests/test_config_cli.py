@@ -79,6 +79,22 @@ class TestRepresentCommand:
         assert captured.out == ""
         assert captured.err == "error: cannot represent negative integer -1\n"
 
+    def test_n_past_the_int_str_limit_exits_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as info:
+            main(["represent", "--n", "7" * (limit + 700)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument --n: {limit + 700} decimal digits exceed Python's "
+                f"int/str conversion limit of {limit}") in err
+        assert "777777" not in err
+
+    def test_invalid_n_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["represent", "--n", "abc"])
+        assert info.value.code == 2
+        assert "argument --n: invalid int value: 'abc'" in capsys.readouterr().err
+
 
 # sha256 of `check <theorem> --preset <name> --window <N>` stdout, with
 # theorem1's `(1.23s)` timing masked as `(…s)`

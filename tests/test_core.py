@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -6,7 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gadic import DigitRangeError, DigitRep, DomainError, GadicSequence
+from gadic import (PRESETS, DigitRangeError, DigitRep, DomainError,
+                   GadicSequence, load_preset)
 
 
 class TestQuotient:
@@ -427,3 +429,128 @@ def test_digit_loops_make_no_quotient_calls(monkeypatch):
         alt = random_alternate_decomposition(seq, rep, rng, max_steps=60)
         assert check_prefix_inequality(seq, rep, alt).all_hold
     assert calls == 0
+
+
+# The per-block loop that `represent` split into leaves, kept as its
+# reference: one divmod of all of n per block of consecutive quotients whose
+# product is at most 2^8, the block's digits read off its remainder.
+
+def represent_block_oracle(seq: GadicSequence, n: int) -> dict[int, int]:
+    digits = {}
+    j = 0
+    while n > 0:
+        B, width = seq.quotient(j + 1), 1
+        while B * seq.quotient(j + width + 1) <= 256:
+            B *= seq.quotient(j + width + 1)
+            width += 1
+        n, r = divmod(n, B)
+        for o in range(width):
+            r, x = divmod(r, seq.quotient(j + o + 1))
+            if x:
+                digits[j + o] = x
+        j += width
+    return digits
+
+
+def split_points(seq: GadicSequence, bits: int) -> list[tuple[int, int]]:
+    """(j, g_j) for every index j at which `represent` may split n, with
+    g_j of at most `bits` bits: the end of the prefix, then every leaf
+    boundary.  g_j is multiplied up here; the scale table stays cold."""
+    seq.represent(0)
+    *_, g, leaf, width = seq._runs
+    j, points = len(seq.prefix), []
+    while g.bit_length() <= bits:
+        points.append((j, g))
+        j, g = j + width, g * leaf
+    return points
+
+
+def quotients_below(seq: GadicSequence, j: int) -> list[int]:
+    """d_1..d_j, read off the prefix and the period."""
+    return list(itertools.islice(
+        itertools.chain(seq.prefix, itertools.cycle(seq.period)), j))
+
+
+SPLIT_SEQUENCES = {
+    "binary": ([], [2]),
+    "mixed23": ([], [2, 3]),
+    "prefix quotient above 256": ([1000, 3], [2, 5]),
+    "period quotient above 256": ([7], [1000, 2]),
+    "period product above 256": ([], [17, 19]),
+    "lone quotient above 2^16": ([3], [2**20 + 7]),
+}
+
+
+class TestRepresentSplit:
+    """`represent` past one leaf: the prefix is divided off, and the rest is
+    split at leaf boundaries by divmods by repeated squares of the leaf."""
+
+    @pytest.mark.parametrize("name", [*SPLIT_SEQUENCES, *sorted(PRESETS)])
+    def test_matches_block_oracle(self, name):
+        params = SPLIT_SEQUENCES.get(name)
+        if params is None:
+            seq = load_preset(name).seq
+            params = (seq.prefix, seq.period)
+        rng = random.Random(11)
+        seq, oracle = fresh(params), fresh(params)
+        ns = [0, *range(1, 300)]
+        for j, g in split_points(seq, 4096):
+            ns += [g - 1, g, g + 1]
+        ns += [rng.getrandbits(bits) for bits in
+               (255, 256, 257, 300, 600, 1024, 2048, 4095, 4096, 4097, 8192)]
+        for n in ns:
+            rep = seq.represent(n)
+            assert rep.digits == represent_block_oracle(oracle, n), n
+            assert list(rep.digits) == sorted(rep.digits)
+            assert oracle.evaluate(rep) == n
+
+    @pytest.mark.parametrize("params, bits", [(([7], [1000, 2]), 1 << 16),
+                                              (([], [2]), 1 << 14)],
+                             ids=["period quotient above 256", "binary"])
+    def test_boundaries(self, params, bits):
+        """g_j - 1, g_j and g_j + 1 at every split point of at most `bits`
+        bits: all digits maximal below j, the lone digit 1 at j, and that
+        plus digit 1 at 0.  (Binary stops at 2^14 bits: its g_j - 1 have a
+        digit per bit, 8 million in all up to 2^16.)"""
+        seq = fresh(params)
+        points = split_points(seq, bits)
+        quots = quotients_below(seq, points[-1][0])
+        for j, g in points:
+            below = seq.represent(g - 1).digits
+            assert list(below) == list(range(j))
+            assert list(below.values()) == [d - 1 for d in quots[:j]]
+            assert seq.represent(g).digits == {j: 1}
+            assert seq.represent(g + 1).digits == ({0: 1, j: 1} if j else
+                                                   represent_oracle(seq, g + 1))
+        assert len(seq._cache) == 1
+
+    def test_large_n_round_trips(self):
+        seq = GadicSequence(prefix=[7], period=[1000, 2])
+        n = random.Random(12).getrandbits(1 << 16)
+        rep = seq.represent(n)
+        assert rep.digits == represent_block_oracle(seq, n)
+        total = 0
+        quots = quotients_below(seq, rep.max_index() + 1)
+        for j in range(rep.max_index(), -1, -1):   # Horner, top digit down
+            total = total * quots[j] + rep.digits.get(j, 0)
+        assert total == n
+
+    def test_leaves_the_scale_table_alone(self):
+        seq = GadicSequence(prefix=[5, 3], period=[2, 3])
+        n = random.Random(13).getrandbits(8192) | 1 << 8191
+        assert seq.represent(n).digits == represent_oracle(
+            GadicSequence(prefix=[5, 3], period=[2, 3]), n)
+        assert seq._cache == [1]
+
+    def test_leaves_no_cyclic_garbage(self):
+        """A 2^16-bit conversion frees all it makes by reference counting:
+        a self-referencing helper would leave its digit dict in a cycle."""
+        seq = GadicSequence(prefix=[7], period=[1000, 2])
+        n = random.Random(14).getrandbits(1 << 16)
+        gc.collect()
+        gc.disable()
+        try:
+            seq.represent(n)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

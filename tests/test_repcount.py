@@ -317,6 +317,7 @@ class TestInternedSets:
         def clear():
             repcount._advance.cache_clear()
             repcount._transitions.cache_clear()
+            repcount._end_sets.cache_clear()
         clear()
         yield clear
         clear()
