@@ -8,6 +8,7 @@ with digits x_j in [0, d_{j+1} - 1]; we store only the nonzero digits.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, cycle
@@ -45,7 +46,8 @@ class GadicSequence:
 
     The scale table holds g_0..g_k in `_cache` and, in step with it, the
     quotients d_1..d_k in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit
-    j).  Only `value` grows it; the digit loops index both lists directly.
+    j).  Only `value` grows it, appending under `_grow_lock` to these same
+    two lists, so the digit loops index them directly with no lock.
     `_runs` holds the prefix runs and the cycle runs of the quotient stream
     (see `_cut_runs`) with the radices `represent` splits at (see
     `_digit_tables`), built on the first `represent`.
@@ -57,6 +59,7 @@ class GadicSequence:
     _quot: list[int] = field(init=False, repr=False, compare=False)
     _runs: _Tables | None = field(
         init=False, repr=False, compare=False)
+    _grow_lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.prefix = list(self.prefix) if self.prefix else []
@@ -69,6 +72,7 @@ class GadicSequence:
         self._cache = [1]  # g_0
         self._quot = []
         self._runs = None
+        self._grow_lock = threading.Lock()
 
     def quotient(self, i: int) -> int:
         """d_i for i >= 1 (prefix lookup, then periodic)."""
@@ -83,10 +87,12 @@ class GadicSequence:
         if i < 0:
             raise DomainError(f"scale index must be >= 0, got {i}")
         cache = self._cache
-        while i >= len(cache):
-            d = self.quotient(len(cache))
-            self._quot.append(d)
-            cache.append(cache[-1] * d)
+        if i >= len(cache):
+            with self._grow_lock:  # the loop checks again under the lock
+                while i >= len(cache):
+                    d = self.quotient(len(cache))
+                    self._quot.append(d)
+                    cache.append(cache[-1] * d)
         return cache[i]
 
     def represent(self, n: int) -> "DigitRep":

@@ -14,6 +14,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
 from .basis import BasisSpec, _low_bits
@@ -110,9 +111,8 @@ def _intern(states: tuple) -> int:
         return _SET_IDS[states]
 
 
-# A compiled DP step: (next set id, gather, fixups).  The ways of target t
-# are prev[gather[t]] plus prev[s] * m over its fixups (t, s, m).
-_Step = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]
+# A compiled DP step: (next set id, the ways of that set from the last).
+_Step = tuple[int, Callable[[list[int]], list[int]]]
 
 
 # No size limit, like _transitions: per configuration the keys are its
@@ -121,33 +121,27 @@ _Step = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]
 @lru_cache(maxsize=None)
 def _advance(set_id: int, d: int, c: int, r: int) -> _Step:
     """One DP step from live set `set_id` over a class-c segment of radix
-    d where n reads r, compiled from the (source, target, multiplicity)
-    edges between the two live sets.  A source with carry v reads only the
-    _transitions group of the digit sums that are r - v mod d.
+    d where n reads r, compiled from the edges between the two live sets.
+    A source with carry v reads only the _transitions group of the digit
+    sums that are r - v mod d.
 
-    Each target gathers one source index, a multiplicity-1 source where
-    it has one (unit edges are taken first); its other edges become
-    (target, source, multiplicity) fixups, and a target with no unit
-    source adds m - 1 for its gathered source."""
-    moves = []
+    The step is one generated function, `lambda p: [p[0] + p[3]*2, ...]`,
+    with one sum per target over its edges, each the source's ways times
+    the edge's multiplicity.  A source has at most one edge to a target:
+    its moves to one status tuple differ in digit sum, hence in carry.
+    The text holds only integers and is evaluated with no builtins."""
+    terms: dict[tuple[int, tuple[int, ...]], list[str]] = {}
     for s, (carry, statuses) in enumerate(_SETS[set_id]):
         for sts, tot, mult in _transitions(d, c, statuses)[(r - carry) % d]:
             carry_out = (tot + carry) // d
             if carry_out > len(statuses):
                 raise RuntimeError("counting engine bug: carry "
                                    f"{carry_out} exceeds h={len(statuses)}")
-            moves.append((s, (carry_out, sts), mult))
-    states = tuple(sorted({key for _, key, _ in moves}))
-    index = {key: t for t, key in enumerate(states)}
-    gather, fixups = [None] * len(states), []
-    for s, key, m in sorted(moves, key=lambda move: move[2] != 1):
-        t = index[key]
-        if gather[t] is None:
-            gather[t] = s
-            m -= 1
-        if m:
-            fixups.append((t, s, m))
-    return _intern(states), tuple(gather), tuple(fixups)
+            terms.setdefault((carry_out, sts), []).append(
+                f"p[{s}]" if mult == 1 else f"p[{s}]*{mult}")
+    states = tuple(sorted(terms))
+    sums = ",".join("+".join(terms[key]) for key in states)
+    return _intern(states), eval(f"lambda p: [{sums}]", {"__builtins__": {}})
 
 
 # A DP state between steps: (live set id, ways per live state, most live
@@ -173,8 +167,8 @@ def _dp_start(h: int) -> _DPState:
 # class or EMPTY take digits there, so the run reads as one digit of radix D.
 # The bound is small because a cold step costs more as D grows (the degree
 # of _transitions' polynomials, and one compiled _advance step per segment
-# digit): 8 keeps a cold first call near that of one position per step and
-# still merges the runs of every preset whole (products 4, 6 and 8).
+# digit): 8 keeps a cold first call within twice that of one position per
+# step and still merges the runs of every preset whole (products 4, 6, 8).
 _SEGMENT_BOUND = 8
 
 
@@ -183,14 +177,14 @@ def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
     """Advance `state` over positions [lo, hi), where position j has
     quotient quots[j], class colors[j] and n's digit digit(j, 0), one step
     per segment: the segment's digits of n read in radix D = the product of
-    its quotients.  Each step gathers one source per target in C (`map`
-    over the compiled gather) and adds its fixups.  Stops early once the
-    live set is empty (it stays empty), and, when h equals the partition's
-    number of classes, once it is exactly {carry 0, one summand committed
-    to each class}: every later digit then belongs to exactly one summand
-    and leaves no carry, so every later step leaves the state as it is.
-    With h other than the class count that set is not final (a class with
-    no summand, or a spare summand), so the walk goes on."""
+    its quotients.  A warm step is one _advance memo lookup and one call
+    of the step it compiled.  Stops early once the live set is empty (it
+    stays empty), and, when h equals the partition's number of classes,
+    once it is exactly {carry 0, one summand committed to each class}:
+    every later digit then belongs to exactly one summand and leaves no
+    carry, so every later step leaves the state as it is.  With h other
+    than the class count that set is not final (a class with no summand,
+    or a spare summand), so the walk goes on."""
     set_id, ways, peak = state
     done = _end_sets(h)[1] if h == classes else -1
     j = lo
@@ -201,11 +195,8 @@ def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
             R += digit(j, 0) * D
             D *= quots[j]
             j += 1
-        set_id, gather, fixups = _advance(set_id, D, c, R)
-        prev = ways
-        ways = list(map(prev.__getitem__, gather))
-        for t, s, mult in fixups:
-            ways[t] += prev[s] * mult
+        set_id, step = _advance(set_id, D, c, R)
+        ways = step(ways)
         if len(ways) > peak:
             peak = len(ways)
         elif not ways:

@@ -221,10 +221,39 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     h-representation of n is a permutation of the constructed one, and since
     the removed element is in the multiset, n has no representation over the
     set with a removed.  The count runs from position 0, independently of
-    the prefix state verify_minimality carries between witnesses.
+    the prefix state verify_minimality carries between witnesses.  A second
+    route, `_count_without`, counts the representations that avoid a; it
+    must find none for a certified witness, and no more than those left
+    once the expected ones through a are taken out, or this raises.
     """
-    return _settle(cert, spec.h,
-                   count_reps_digitdp(spec, cert.n_rep, spec.h).ordered_count)
+    n = spec.seq.evaluate(cert.n_rep)
+    _settle(cert, spec.h,
+            count_reps_digitdp(spec, cert.n_rep, spec.h).ordered_count)
+    avoid = _count_without(spec, n, cert.removed)
+    through_a = cert.expected_count if cert.removed in cert.multiset else 0
+    if not 0 <= avoid <= cert.measured_count - through_a:
+        raise RuntimeError(
+            f"counting engine bug: n={n} has {avoid} representations without "
+            f"{cert.removed}, but {cert.measured_count} in all and "
+            f"{through_a} through {cert.removed}")
+    return cert
+
+
+def _count_without(spec: BasisSpec, n: int, a: int) -> int:
+    """The ordered h-representations of n over the members other than the
+    member a, by inclusion-exclusion over the summands equal to a: the sum
+    over k = 0..h of (-1)^k C(h, k) r_{h-k}(n - k a), r_j counting ordered
+    j-representations (count_reps_digitdp for j >= 2), r_1 the member
+    indicator and r_0(m) = [m = 0]."""
+    total = 0
+    for k in range(min(spec.h, n // a) + 1):
+        m, j = n - k * a, spec.h - k
+        if j >= 2:
+            r = count_reps_digitdp(spec, spec.seq.represent(m), j).ordered_count
+        else:
+            r = m == 0 if j == 0 else spec.classify(m) is not None
+        total += (-1) ** k * math.comb(spec.h, k) * r
+    return total
 
 
 def _settle(cert: WitnessCertificate, h: int,

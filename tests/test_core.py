@@ -2,6 +2,8 @@ import gc
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -59,6 +61,38 @@ class TestValue:
         seq = GadicSequence(prefix=[7, 3], period=[2, 5, 2])
         assert seq.value(i + j) // seq.value(i) == math.prod(
             seq.quotient(k) for k in range(i + 1, i + j + 1))
+
+    def test_threads_grow_one_table(self):
+        # four threads grow one fresh table index by index while the
+        # interpreter switches threads every microsecond; a growth step that
+        # two threads both take would duplicate or skip an entry
+        reference = GadicSequence(prefix=[7], period=[2, 3, 5])
+        reference.value(400)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                seq = GadicSequence(prefix=[7], period=[2, 3, 5])
+                cache, quot = seq._cache, seq._quot
+                start = threading.Barrier(4)
+
+                def grow():
+                    start.wait()
+                    for i in range(401):
+                        seq.value(i)
+
+                threads = [threading.Thread(target=grow) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                # grown in place: leading_index holds the list through its
+                # growth loop
+                assert seq._cache is cache and seq._quot is quot
+                assert cache == reference._cache and quot == reference._quot
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRatio:

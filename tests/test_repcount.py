@@ -370,8 +370,11 @@ class TestInternedSets:
 
     def test_compiled_steps_match_the_edge_sums(self, monkeypatch):
         # every step the DP memoizes on uniform inputs and dense sums of
-        # all presets, applied by _dp_steps to random ways, against the
-        # plain sum over the ordered oracle's edges
+        # all presets, against the ordered oracle's edges merged per
+        # (source, target): applied by _dp_steps to random ways it gives
+        # their plain sums, and applied to the formal unit vectors
+        # 1 << 64*s it gives each target's merged multiplicities, one
+        # 64-bit field per source
         advance, keys = repcount._advance, set()
 
         def recorded(*key):
@@ -384,16 +387,19 @@ class TestInternedSets:
             for c in range(spec.h):
                 for n in (rng.randrange(1 << 96), dense_sum(spec, c, 96, rng)):
                     count_reps_digitdp(spec, spec.seq.represent(n), spec.h)
+        # no pair of h3-runs members sums to 713: its third step empties
+        # the live set (test_live_set_empties_before_the_top_digit)
+        h3 = load_preset("h3-runs").basis
+        count_reps_digitdp(h3, h3.seq.represent(713), 2)
         monkeypatch.undo()
-        no_unit_source = False
+        shared_target = multiple = empty = False
         for set_id, d, c, r in sorted(keys):
-            next_id, gather, fixups = advance(set_id, d, c, r)
-            no_unit_source |= any(gather[t] == s for t, s, _ in fixups)
-            source = repcount._SETS[set_id]
+            next_id, step = advance(set_id, d, c, r)
+            assert step.__code__.co_names == ()
+            source, target = repcount._SETS[set_id], repcount._SETS[next_id]
             h = len(source[0][1])
-            prev = [rng.randrange(1 << 64) for _ in source]
-            expected: dict[tuple, int] = {}
-            for (carry, statuses), w in zip(source, prev):
+            merged: dict[tuple, dict[int, int]] = {}
+            for s, (carry, statuses) in enumerate(source):
                 # group q holds the oracle's edges whose digit sum is q mod d
                 edges = ordered_edges(d, c, statuses)
                 assert [sorted(group) for group in
@@ -402,15 +408,27 @@ class TestInternedSets:
                 for sts, tot, mult in edges:
                     carry_out, rem = divmod(tot + carry, d)
                     if rem == r:
-                        key = (carry_out, sts)
-                        expected[key] = expected.get(key, 0) + w * mult
+                        sources = merged.setdefault((carry_out, sts), {})
+                        sources[s] = sources.get(s, 0) + mult
+            assert sorted(merged) == list(target)
+            assert step([1 << 64 * s for s in range(len(source))]) == [
+                sum(m << 64 * s for s, m in merged[key].items())
+                for key in target]
+            prev = [rng.randrange(1 << 64) for _ in source]
             got_id, ways, _ = repcount._dp_steps(
                 (set_id, prev, len(prev)), [d], [c], lambda j, zero: r, 0, 1,
                 h, h + 1)  # no class count equal to h: no early exit
             assert got_id == next_id
-            assert len(gather) == len(ways) == len(repcount._SETS[next_id])
-            assert dict(zip(repcount._SETS[next_id], ways)) == expected
-        assert no_unit_source
+            assert ways == [sum(prev[s] * m for s, m in merged[key].items())
+                            for key in target]
+            shared_target |= any(len(sources) >= 2
+                                 for sources in merged.values())
+            multiple |= any(m > 1 for sources in merged.values()
+                            for m in sources.values())
+            if not target:
+                empty = True
+                assert step(prev) == []
+        assert shared_target and multiple and empty
 
     def test_threads_share_the_intern_table(self, clear_dp_caches):
         specs = [load_preset(name).basis for name in sorted(PRESETS)]

@@ -228,6 +228,44 @@ class TestVerifyWitness:
         assert cert.verdict == "certified"
 
 
+class TestCountWithout:
+    """_count_without, the second route verify_witness takes: the count of
+    representations avoiding a, by inclusion-exclusion over DP counts at
+    other orders."""
+
+    @pytest.mark.parametrize("name,removed,N", [
+        ("binary-h2", (2, 4, 8, 16), 1 << 14),
+        ("h3-runs", None, 1 << 12),
+        ("h4-runs", None, 1 << 12),
+    ])
+    def test_matches_the_sumset_without_a(self, name, removed, N):
+        spec = load_preset(name).basis
+        window = spec.enumerate(N)
+        for a in removed or window.members[:3]:
+            _, hB = gadic.verifier._hfold(spec, window.mask & ~(1 << a), N, a)
+            for n in range(N + 1):
+                avoid = gadic.verifier._count_without(spec, n, a)
+                assert avoid >= 0 and (avoid > 0) == bool(hB >> n & 1), (a, n)
+
+    def test_every_representation_uses_a(self, binary_pairs):
+        # binary-h2: 209719 = 4 + 209715, the class-1 member 4 plus the
+        # class-0 member with both class-0 digits of every period set, far
+        # above the windows of the test before
+        n = 209719
+        assert gadic.verifier._count_without(binary_pairs, n, 4) == 0
+        assert count_reps_digitdp(binary_pairs, binary_pairs.seq.represent(n),
+                                  2).ordered_count > 0
+
+    def test_disagreeing_routes_raise(self, binary_pairs, monkeypatch):
+        cert = construct_witness(binary_pairs, 2, 1)[0]
+        monkeypatch.setattr(gadic.verifier, "_count_without",
+                            lambda spec, n, a: 1)
+        with pytest.raises(RuntimeError, match=r"^counting engine bug: n=9 "
+                           r"has 1 representations without 1, but 2 in all "
+                           r"and 2 through 1$"):
+            verify_witness(binary_pairs, cert)
+
+
 class TestMinimalityBatch:
     def test_corollary_preset(self, binary_pairs):
         batch = verify_minimality(binary_pairs, t=2, K=20, W=3)
