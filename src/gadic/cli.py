@@ -124,22 +124,19 @@ def cmd_check(cfg: RunConfig, args) -> int:
 def cmd_minimality(cfg: RunConfig, args) -> int:
     batch = verify_minimality(cfg.basis, t=cfg.t, K=cfg.budget,
                               W=cfg.witnesses, override=args.override)
-    out = args.out
+    certs, out = batch.certificates, args.out
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    certified = 0
-    for cert in batch.certificates:
-        line = (f"a={cert.removed:<8} class={cert.removed_class} M0={cert.M0} "
-                f"M={sorted(cert.chosen_Ms.values())} n={cert.n_value} "
-                f"count={cert.measured_count}/{cert.expected_count} "
-                f"{cert.verdict}")
-        print(line)
-        certified += cert.verdict == "certified"
-        if out is not None:
+        for cert in certs:
             (out / cert.filename()).write_text(cert.render(cfg.basis))
-    total = len(batch.certificates)
-    print(f"summary: {certified}/{total} certified; "
-          f"theorem1 precheck {'pass' if batch.theorem1.passed else 'FAIL'}")
+    certified = sum(cert.verdict == "certified" for cert in certs)
+    lines = [f"a={cert.removed:<8} class={cert.removed_class} M0={cert.M0} "
+             f"M={sorted(cert.chosen_Ms.values())} n={cert.n_value} "
+             f"count={cert.measured_count}/{cert.expected_count} "
+             f"{cert.verdict}" for cert in certs]
+    lines.append(f"summary: {certified}/{len(certs)} certified; "
+                 f"theorem1 precheck {'pass' if batch.theorem1.passed else 'FAIL'}")
+    print("\n".join(lines))
     return EXIT_OK if batch.passed else EXIT_FAIL
 
 

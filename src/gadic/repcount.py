@@ -140,8 +140,19 @@ def _advance(set_id: int, d: int, c: int, r: int) -> _Step:
             terms.setdefault((carry_out, sts), []).append(
                 f"p[{s}]" if mult == 1 else f"p[{s}]*{mult}")
     states = tuple(sorted(terms))
-    sums = ",".join("+".join(terms[key]) for key in states)
-    return _intern(states), eval(f"lambda p: [{sums}]", {"__builtins__": {}})
+    return _intern(states), _compile(
+        ",".join("+".join(terms[key]) for key in states))
+
+
+# One compiled function per distinct step text: different (set, segment)
+# keys often compile to the same sums.  The functions read no globals, so
+# they share one namespace with no builtins.
+_NO_BUILTINS: dict = {"__builtins__": {}}
+
+
+@lru_cache(maxsize=None)
+def _compile(sums: str) -> Callable[[list[int]], list[int]]:
+    return eval(f"lambda p: [{sums}]", _NO_BUILTINS)
 
 
 # A DP state between steps: (live set id, ways per live state, most live
@@ -204,14 +215,13 @@ def _dp_steps(state: _DPState, quots: list[int], colors: list[int], digit,
     return set_id, ways, peak
 
 
-def _dp_accept(state: _DPState, zero_allowed: bool) -> RepCountResult:
+def _dp_accept(state: _DPState, zero_allowed: bool) -> int:
     """The count of a state past the top digit of n."""
-    set_id, ways, peak = state
+    set_id, ways, _ = state
     # every summand is <= n < g_{top+1}, so their digits above top are 0 and
     # a nonzero carry out of the top digit would make the sum exceed n
-    count = sum(w for (carry, sts), w in zip(_SETS[set_id], ways)
-                if carry == 0 and (zero_allowed or EMPTY not in sts))
-    return RepCountResult(count, peak_states=peak)
+    return sum(w for (carry, sts), w in zip(_SETS[set_id], ways)
+               if carry == 0 and (zero_allowed or EMPTY not in sts))
 
 
 def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
@@ -236,7 +246,7 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
     quots, colors = spec._positions(top + 1)
     state = _dp_steps(_dp_start(h), quots, colors, n.digits.get, 0, top + 1,
                       h, spec.h)
-    return _dp_accept(state, zero_allowed)
+    return RepCountResult(_dp_accept(state, zero_allowed), peak_states=state[2])
 
 
 @dataclass

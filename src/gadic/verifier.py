@@ -161,10 +161,13 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
                fams: IntervalFamilies, key: str
                ) -> tuple[dict[int, int], list[WitnessCertificate]]:
     """construct_witness past its checks, on the caller's interval families
-    and config hash.  The W witnesses share every digit below their
-    smallest M_i (a's digits and the other classes' maximal digits below
-    M0), so that part is merged and evaluated once; each witness adds only
-    its M_i.  Returns the shared digits and the witnesses."""
+    and config hash.  Once per member: a's digits and class, and the walk
+    over the indices below M0 that builds each other class's maximal
+    digits and their value, merged with a's digits into the digits the W
+    witnesses share below their smallest M_i.  Per witness: its endpoints
+    M_i, each other summand as its class's maximal digits plus a 1 at M_i,
+    the multiset values, and the check that n's digits evaluate to their
+    sum.  Returns the shared digits and the witnesses."""
     rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
@@ -177,16 +180,18 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
     maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]
     base = [0] * spec.h
     shared: dict[int, int] = {}
-    for j, (d, c) in enumerate(zip(*spec._positions(M0))):
+    quots, colors = spec._positions(M0)
+    for j in range(M0):
+        c, x = colors[j], own.get(j)
         if c == i0:
-            if j in own:
-                shared[j] = own[j]
-        elif j in own:
+            if x is not None:
+                shared[j] = x
+        elif x is not None:
             raise RuntimeError("witness construction bug: summand "
                                f"supports overlap at index {j}")
         else:
-            maximal[c][j] = shared[j] = d - 1
-            base[c] += (d - 1) * g[j]
+            maximal[c][j] = shared[j] = top = quots[j] - 1
+            base[c] += top * g[j]
     shared[M0] = own[M0]
     gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
 
@@ -194,15 +199,19 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
     for _ in range(W):
         chosen = {i: next(gen) for i, gen in gens.items()}
         summands = {i0: rep_a}
+        values = [a]
         for i, Mi in chosen.items():
             # ascending: every maximal index is below M0 < Mi
-            summands[i] = DigitRep._trusted({**maximal[i], Mi: 1})
+            digits = maximal[i].copy()
+            digits[Mi] = 1
+            summands[i] = DigitRep._trusted(digits)
+            values.append(base[i] + seq.value(Mi))
+        values.sort()
         digits = dict(shared)
         for Mi in sorted(chosen.values()):
             digits[Mi] = 1
         n_rep = DigitRep._trusted(digits)
         n_value = seq.evaluate(n_rep)
-        values = sorted([a] + [base[i] + seq.value(Mi) for i, Mi in chosen.items()])
         if n_value != sum(values):
             raise RuntimeError(f"witness construction bug: digits of n={n_value} "
                                "do not sum the summands")
@@ -258,10 +267,15 @@ def _count_without(spec: BasisSpec, n: int, a: int) -> int:
 
 def _settle(cert: WitnessCertificate, h: int,
             measured: int) -> WitnessCertificate:
-    """verify_witness's verdict on the measured count."""
+    """verify_witness's verdict on the measured count.  The expected count
+    is the number of orderings of the multiset: h! when its values are
+    distinct, as a constructed witness's are (they lie in h different
+    classes), else the multinomial coefficient."""
     values = cert.multiset
-    expected = math.factorial(h) // math.prod(
-        math.factorial(values.count(v)) for v in set(values))
+    expected = math.factorial(h)
+    if len(set(values)) < len(values):
+        expected //= math.prod(math.factorial(values.count(v))
+                               for v in set(values))
     if measured < expected:
         raise RuntimeError(f"counting engine bug: measured {measured} < expected "
                            f"{expected} but the constructed representation exists")
@@ -286,9 +300,16 @@ class MinimalityBatch:
 def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
                       override: bool = False) -> MinimalityBatch:
     """Certify the first K members with W witnesses each (see
-    construct_witness for how the W witnesses of a member are chosen).  One
-    DP state per member walks the shared digits up to each witness's
-    smallest M_i, which strictly increases, and resumes from there."""
+    construct_witness for how the W witnesses of a member are chosen).
+
+    Once per batch: the hypothesis gate, the Theorem 1 precheck, the
+    member window and the config hash.  Once per member: its witnesses
+    and shared digits (_witnesses), the quotients and classes up to its
+    largest witness, and one DP state that walks the shared digits up to
+    each witness's smallest M_i, which strictly increases.  Per witness:
+    the checks that its smallest M_i is not below the carried position
+    and that its digits below it are the shared ones, the walk from there
+    over its own top digits, and the verdict on the accepted count."""
     fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
@@ -322,7 +343,7 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
             pos = low
             own = _dp_steps(state, quots, colors, cert.n_rep.digits.get, low,
                             cert.n_rep.max_index() + 1, h, h)
-            _settle(cert, h, _dp_accept(own, zero_allowed=False).ordered_count)
+            _settle(cert, h, _dp_accept(own, zero_allowed=False))
         batch.certificates += certs
     return batch
 

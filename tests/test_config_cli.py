@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gadic.verifier
-from gadic import ConfigError, PRESETS, RepCountResult, RunConfig, load_preset
+from gadic import ConfigError, PRESETS, RunConfig, load_preset
 from gadic.basis import DEFAULT_WINDOW_LIMIT
 from gadic.cli import build_parser, main
 
@@ -33,8 +33,7 @@ def skew_dp_count(monkeypatch):
 
     def install(delta: int):
         def skewed(*args, **kwargs):
-            res = real(*args, **kwargs)
-            return RepCountResult(ordered_count=res.ordered_count + delta)
+            return real(*args, **kwargs) + delta
         monkeypatch.setattr(gadic.verifier, "_dp_accept", skewed)
     return install
 
@@ -228,7 +227,26 @@ class TestCheckCommand:
         assert str(path) in captured.err
 
 
+# sha256 of `minimality --preset <name> --budget <K> --witnesses 4` stdout
+# at the benchmark's certify sizes: K = 200 on the order-2 presets, 50 on
+# h3-runs and h4-runs; pins every certificate line and the summary
+GOLDEN_MINIMALITY = {
+    "binary-h2": ("200", "7fd965cd03d25880"),
+    "mixed23-h2": ("200", "7eb96c7caf904fda"),
+    "h3-runs": ("50", "48f4075519001fce"),
+    "h4-runs": ("50", "8cab76f84753183d"),
+}
+
+
 class TestMinimalityCommand:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MINIMALITY))
+    def test_certificates_match_golden_digest(self, name, capsys):
+        K, digest = GOLDEN_MINIMALITY[name]
+        assert main(["minimality", "--preset", name, "--budget", K,
+                     "--witnesses", "4"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
     def test_writes_certificates(self, tmp_path, capsys):
         code = main(["minimality", "--budget", "2", "--witnesses", "2",
                      "--out", str(tmp_path)])
@@ -313,9 +331,7 @@ class TestMinimalityCommand:
                 "from gadic import cli, verifier\n"
                 "real = verifier._dp_accept\n"
                 "def low(*args, **kwargs):\n"
-                "    res = real(*args, **kwargs)\n"
-                "    res.ordered_count -= 1\n"
-                "    return res\n"
+                "    return real(*args, **kwargs) - 1\n"
                 "verifier._dp_accept = low\n"
                 f"sys.exit(cli.main({argv!r}))\n")
         proc = run_gadic([], "-O", code=skew)

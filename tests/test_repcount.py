@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    GadicSequence, PartitionSpec, check_prefix_inequality,
-                   construct_witness, count_reps_digitdp, load_preset,
-                   min_t, WindowTooLargeError)
+                   RepCountResult, construct_witness, count_reps_digitdp,
+                   load_preset, min_t, verify_minimality,
+                   WindowTooLargeError)
 from gadic import cli, repcount
 from gadic.basis import DEFAULT_WINDOW_LIMIT, _add_members, _low_bits
 from gadic.repcount import hfold_sumset_window, sumset_gaps
@@ -316,6 +317,7 @@ class TestInternedSets:
     def clear_dp_caches(self):
         def clear():
             repcount._advance.cache_clear()
+            repcount._compile.cache_clear()
             repcount._transitions.cache_clear()
             repcount._end_sets.cache_clear()
         clear()
@@ -430,6 +432,47 @@ class TestInternedSets:
                 assert step(prev) == []
         assert shared_target and multiple and empty
 
+    def test_equal_step_texts_compile_once(self, monkeypatch):
+        # a certify run and a count run over every preset: each distinct
+        # step text is evaluated once, and the memo keys that compile to
+        # one text share its function
+        advance, compile_, key = repcount._advance, repcount._compile, None
+        texts, evals = {}, []
+
+        def recorded(*args):
+            nonlocal key
+            key = args
+            return advance(*args)
+
+        def compiled(sums):
+            texts[key] = sums
+            return compile_(sums)
+
+        def counted(source, namespace):
+            evals.append(source)
+            return eval(source, namespace)
+
+        monkeypatch.setattr(repcount, "_advance", recorded)
+        monkeypatch.setattr(repcount, "_compile", compiled)
+        monkeypatch.setattr(repcount, "eval", counted, raising=False)
+        rng = random.Random(13)
+        for name in sorted(PRESETS):
+            cfg = load_preset(name)
+            spec = cfg.basis
+            verify_minimality(spec, cfg.t, K=20, W=4)
+            for c in range(spec.h):
+                count_reps_digitdp(spec, spec.seq.represent(
+                    dense_sum(spec, c, 96, rng)), spec.h)
+        monkeypatch.undo()
+        assert len(evals) == len(set(evals)) == len(set(texts.values()))
+        by_text: dict[str, list[tuple]] = {}
+        for k, sums in texts.items():
+            by_text.setdefault(sums, []).append(k)
+        shared = [ks for ks in by_text.values() if len(ks) >= 2]
+        assert shared
+        for ks in shared:
+            assert len({id(advance(*k)[1]) for k in ks}) == 1
+
     def test_threads_share_the_intern_table(self, clear_dp_caches):
         specs = [load_preset(name).basis for name in sorted(PRESETS)]
         rng = random.Random(9)
@@ -502,10 +545,11 @@ def resumed_counts(spec: BasisSpec, h: int, low: DigitRep, L: int,
     quots, colors = spec._positions(top + 1)
     shared = repcount._dp_steps(repcount._dp_start(h), quots, colors,
                                 low.digits.get, 0, L, h, spec.h)
-    return shared, [repcount._dp_accept(
-        repcount._dp_steps(shared, quots, colors, rep.digits.get, L,
-                           rep.max_index() + 1, h, spec.h), zero_allowed)
-        for rep in reps]
+    resumed = [repcount._dp_steps(shared, quots, colors, rep.digits.get, L,
+                                  rep.max_index() + 1, h, spec.h)
+               for rep in reps]
+    return shared, [RepCountResult(repcount._dp_accept(state, zero_allowed),
+                                   peak_states=state[2]) for state in resumed]
 
 
 class TestResumedDP:

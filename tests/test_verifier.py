@@ -228,6 +228,39 @@ class TestVerifyWitness:
         assert cert.verdict == "certified"
 
 
+class TestSettle:
+    """_settle's expected count is the number of orderings of the multiset:
+    h! when its values are distinct, the multinomial coefficient when some
+    repeat."""
+
+    @pytest.mark.parametrize("multiset,h,expected", [
+        ([1, 8], 2, 2), ([4, 4], 2, 1), ([1, 2, 8], 3, 6), ([1, 1, 8], 3, 3),
+        ([2, 2, 2], 3, 1), ([1, 1, 2, 2], 4, 6), ([1, 2, 4, 8], 4, 24),
+    ])
+    def test_expected_count(self, binary_pairs, multiset, h, expected):
+        cert = construct_witness(binary_pairs, 2, 1)[0]  # removes a = 1
+        cert.multiset = multiset
+        gadic.verifier._settle(cert, h, expected)
+        assert (cert.expected_count, cert.measured_count) == (expected,
+                                                              expected)
+        assert cert.verdict == ("certified" if 1 in multiset else "failed")
+        # one ordering more than the multiset has: not certified
+        gadic.verifier._settle(cert, h, expected + 1)
+        assert cert.verdict == "failed"
+
+    @pytest.mark.parametrize("multiset,h,expected", [
+        ([1, 8], 2, 2), ([1, 1, 8], 3, 3)])
+    def test_count_below_expected_raises(self, binary_pairs, multiset, h,
+                                         expected):
+        cert = construct_witness(binary_pairs, 2, 1)[0]
+        cert.multiset = multiset
+        with pytest.raises(RuntimeError, match=(
+                f"^counting engine bug: measured {expected - 1} < expected "
+                f"{expected} but the constructed representation exists$")):
+            gadic.verifier._settle(cert, h, expected - 1)
+        assert cert.verdict == "unverified"
+
+
 class TestCountWithout:
     """_count_without, the second route verify_witness takes: the count of
     representations avoiding a, by inclusion-exclusion over DP counts at
