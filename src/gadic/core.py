@@ -41,22 +41,30 @@ class DigitRangeError(ValueError):
 
 @dataclass
 class GadicSequence:
-    """The quotient stream (d_i), a lazily grown scale table and the digit
-    tables of `represent`.
+    """The quotient stream (d_i), a lazily grown and capped scale table and
+    the digit tables of `represent`.
 
-    The scale table holds g_0..g_k in `_cache` and, in step with it, the
-    quotients d_1..d_k in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit
-    j).  Only `value` grows it, appending under `_grow_lock` to these same
-    two lists, so the digit loops index them directly with no lock.
-    `_runs` holds the prefix runs and the cycle runs of the quotient stream
-    (see `_cut_runs`) with the radices `represent` splits at (see
-    `_digit_tables`), built on the first `represent`.
+    The scale table holds g_0..g_K in `_cache` and, in step with it, the
+    quotients d_1..d_K in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit
+    j).  `_grow` appends to these same two lists under `_grow_lock`, one
+    index at a time as far as a call needs, and stops for good once the
+    table is full: its last value has more than _LEAF_BITS bits and it
+    reaches one period past the prefix.  It then sets `_span` to (w, g_{L+w}
+    / g_L), w the whole periods the table holds past the prefix (L its
+    length), so g_{L+kw+o} = g_{L+o} * (g_{L+w} / g_L)^k gives every index
+    past the table and memory stays linear in the bits of n.  Only core
+    reads the lists; other modules ask `_table`.  `_runs` holds the prefix
+    runs and the cycle runs of the quotient stream (see `_cut_runs`) with
+    the radices `represent` splits at (see `_digit_tables`), built on the
+    first `represent`.
     """
 
     period: list[int]
     prefix: list[int] | None = None
     _cache: list[int] = field(init=False, repr=False, compare=False)
     _quot: list[int] = field(init=False, repr=False, compare=False)
+    _span: tuple[int, int] | None = field(
+        init=False, repr=False, compare=False)
     _runs: _Tables | None = field(
         init=False, repr=False, compare=False)
     _grow_lock: threading.Lock = field(init=False, repr=False, compare=False)
@@ -71,6 +79,7 @@ class GadicSequence:
                 raise ValueError(f"quotient {d} < 2")
         self._cache = [1]  # g_0
         self._quot = []
+        self._span = None
         self._runs = None
         self._grow_lock = threading.Lock()
 
@@ -83,17 +92,54 @@ class GadicSequence:
         return self.period[(i - 1 - len(self.prefix)) % len(self.period)]
 
     def value(self, i: int) -> int:
-        """g_i = d_1 * d_2 * ... * d_i, exact; g_0 = 1."""
+        """g_i = d_1 * d_2 * ... * d_i, exact; g_0 = 1.  Past the full table,
+        g_{L+o} times a power of its span (see the class docstring)."""
         if i < 0:
             raise DomainError(f"scale index must be >= 0, got {i}")
         cache = self._cache
         if i >= len(cache):
-            with self._grow_lock:  # the loop checks again under the lock
-                while i >= len(cache):
-                    d = self.quotient(len(cache))
-                    self._quot.append(d)
-                    cache.append(cache[-1] * d)
+            if self._span is None:
+                self._grow(i)
+            if i >= len(cache):
+                L = len(self.prefix)
+                w, span = self._span
+                k, o = divmod(i - L, w)
+                return cache[L + o] * span ** k
         return cache[i]
+
+    def _grow(self, i: int, n: int = -1) -> None:
+        """Append to the scale table until it holds g_i and a value above n,
+        or until it is full; the full table sets `_span`."""
+        with self._grow_lock:  # the loop checks again under the lock
+            cache, quot = self._cache, self._quot
+            L, p = len(self.prefix), len(self.period)
+            while self._span is None and (i >= len(cache) or cache[-1] <= n):
+                d = self.quotient(len(cache))
+                quot.append(d)
+                cache.append(cache[-1] * d)
+                if len(cache) > L + p and cache[-1].bit_length() > _LEAF_BITS:
+                    w = (len(cache) - 1 - L) // p * p
+                    self._span = (w, cache[L + w] // cache[L])
+
+    def _table(self, n: int, values: bool = True
+               ) -> tuple[list[int], list[int]]:
+        """(g, quot) with quot[j] = d_{j+1} and g[j] = g_j for every j < n:
+        the shared table when it covers them, else copies of it extended to
+        n, which the caller drops when done.  With values False, g is the
+        shared list, however short, and only quot is extended."""
+        if n > len(self._quot) and self._span is None:
+            self._grow(n)
+        g, quot = self._cache, self._quot
+        if n <= len(quot):
+            return g, quot
+        L, period = len(self.prefix), self.period
+        quot = quot + [period[(j - L) % len(period)]
+                       for j in range(len(quot), n)]
+        if values:
+            g = g[:]
+            for d in quot[len(g) - 1:n - 1]:
+                g.append(g[-1] * d)
+        return g, quot
 
     def represent(self, n: int) -> "DigitRep":
         """The unique sparse digit map of n >= 0; 0 maps to the empty rep.
@@ -126,30 +172,72 @@ class GadicSequence:
         return DigitRep._trusted(digits)
 
     def evaluate(self, rep: "DigitRep") -> int:
-        """Exact sum of x_j * g_j; validates digit ranges against this sequence."""
+        """Exact sum of x_j * g_j; validates digit ranges against this
+        sequence and reports the lowest bad index.
+
+        Digits past the full table are summed per block of its span w:
+        block b's digits x at L + b*w + o add up x * g_{L+o} (the prefix
+        digits join block 0), and the block sums are joined pairwise by S,
+        S^2, S^4, ... (S = g_{L+w} / g_L), the inverse of `represent`'s
+        split, so no table past the cap is built."""
         if rep.is_zero():
             return 0
-        self.value(rep.max_index() + 1)
+        top = rep.max_index()
         quot, cache = self._quot, self._cache
-        total = 0
+        if top >= len(quot) and self._span is None:
+            self._grow(top + 1)
+        if top < len(quot):
+            total = 0
+            for j, x in rep.items():
+                if not 1 <= x < quot[j]:
+                    raise DigitRangeError(f"digit {x} at index {j} outside [1, {quot[j] - 1}]")
+                total += x * cache[j]
+            return total
+        L = len(self.prefix)
+        w, span = self._span
+        blocks = [0] * ((top - L) // w + 1)
         for j, x in rep.items():
-            if not 1 <= x < quot[j]:
-                raise DigitRangeError(f"digit {x} at index {j} outside [1, {quot[j] - 1}]")
-            total += x * cache[j]
-        return total
+            b = max(j - L, 0) // w  # the prefix digits join block 0
+            i = j - b * w
+            if not 1 <= x < quot[i]:
+                raise DigitRangeError(f"digit {x} at index {j} outside [1, {quot[i] - 1}]")
+            blocks[b] += x * cache[i]
+        while len(blocks) > 1:
+            blocks.append(0)
+            blocks = [lo + hi * span for lo, hi in zip(blocks[::2], blocks[1::2])]
+            if len(blocks) > 1:
+                span *= span
+        return blocks[0]
 
     def leading_index(self, n: int) -> int:
         """Largest index in the support of n >= 1; g_M <= n < g_{M+1}.
 
-        Grows the scale table past n, so g_0..g_{M+1} stay cached, then
-        bisects it.
-        """
+        Grows the scale table past n, up to its cap, and bisects it.  Past
+        the full table, n // g_L gives up whole spans by divisions by S^(2^t)
+        for t descending (S = g_{L+w} / g_L, see the class docstring), and
+        the table is bisected for the rest."""
         if n < 1:
             raise DomainError("leading index is undefined for n < 1 (empty support)")
         cache = self._cache
-        while cache[-1] <= n:
-            self.value(len(cache))
-        return bisect_right(cache, n) - 1
+        if cache[-1] > n:
+            return bisect_right(cache, n) - 1
+        if self._span is None:
+            self._grow(0, n)
+        if cache[-1] > n:  # again: the table may have grown since
+            return bisect_right(cache, n) - 1
+        L = len(self.prefix)
+        w, span = self._span
+        m = n // cache[L]
+        # span^(2^(t+1)) > m once 2 * (bits of span^(2^t)) - 1 > bits of m
+        powers = [span]
+        while 2 * powers[-1].bit_length() - 1 <= m.bit_length():
+            powers.append(powers[-1] * powers[-1])
+        k = 0
+        for t in range(len(powers) - 1, -1, -1):
+            if powers[t] <= m:
+                m //= powers[t]
+                k += w << t
+        return bisect_right(cache, m * cache[L], L, L + w) - 1 + k
 
     def serialize(self) -> str:
         return f"prefix={self.prefix!r};period={self.period!r}".replace(" ", "")

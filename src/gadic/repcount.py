@@ -280,8 +280,7 @@ def check_prefix_inequality(seq: GadicSequence, canonical: DigitRep,
     if alt and alt[0][0] < 0:
         # the index of d_{v+1}, as GadicSequence.quotient reports it
         raise DomainError(f"quotients are indexed from 1, got i={alt[0][0] + 1}")
-    seq.value(max(canonical.max_index(), alt[-1][0] if alt else 0) + 1)
-    quot, g = seq._quot, seq._cache
+    g, quot = seq._table(max(canonical.max_index(), alt[-1][0] if alt else 0) + 1)
     sums = [0]  # sums[i]: the sum of the first i sorted alternate terms
     for v, y in alt:
         if not 1 <= y < quot[v]:

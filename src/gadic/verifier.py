@@ -173,8 +173,7 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
         raise DomainError(f"{a} is not a member of the constructed set")
     M0 = rep_a.max_index()
     seq = spec.seq
-    seq.value(M0)
-    g, own = seq._cache, rep_a.digits
+    g, own = seq._table(M0)[0], rep_a.digits
     # class i's maximal digits below M0 and their value; `shared` merges
     # them with a's digits, ascending
     maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]
@@ -233,11 +232,17 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     the prefix state verify_minimality carries between witnesses.  A second
     route, `_count_without`, counts the representations that avoid a; it
     must find none for a certified witness, and no more than those left
-    once the expected ones through a are taken out, or this raises.
+    once the expected ones through a are taken out, or this raises.  A
+    multiset that is not h values summing to n fails with no expected
+    count, whatever the counts.
     """
     n = spec.seq.evaluate(cert.n_rep)
-    _settle(cert, spec.h,
-            count_reps_digitdp(spec, cert.n_rep, spec.h).ordered_count)
+    measured = count_reps_digitdp(spec, cert.n_rep, spec.h).ordered_count
+    if len(cert.multiset) != spec.h or sum(cert.multiset) != n:
+        cert.expected_count, cert.measured_count = None, measured
+        cert.verdict = "failed"
+        return cert
+    _settle(cert, spec.h, measured)
     avoid = _count_without(spec, n, cert.removed)
     through_a = cert.expected_count if cert.removed in cert.multiset else 0
     if not 0 <= avoid <= cert.measured_count - through_a:
@@ -387,7 +392,8 @@ def random_alternate_decomposition(seq, rep: DigitRep, rng,
     alternate decomposition of n: coefficient splits, and radix splits using
     g_v = g_{v-1} + (d_v - 1) g_{v-1}.  The terms come in no particular
     order."""
-    seq.value(rep.max_index())  # d_v = seq._quot[v - 1] for every index v
+    # quot[v - 1] = d_v for every index v
+    quot = seq._table(rep.max_index(), values=False)[1]
     terms = [[j, x] for j, x in rep.items()]
     for _ in range(rng.randrange(max_steps + 1)):
         k = rng.randrange(len(terms))
@@ -402,7 +408,7 @@ def random_alternate_decomposition(seq, rep: DigitRep, rng,
             else:
                 terms[k][1] = y - 1
             terms.append([v - 1, 1])
-            terms.append([v - 1, seq._quot[v - 1] - 1])
+            terms.append([v - 1, quot[v - 1] - 1])
     return [(v, y) for v, y in terms]
 
 

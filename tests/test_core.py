@@ -63,11 +63,15 @@ class TestValue:
             seq.quotient(k) for k in range(i + 1, i + j + 1))
 
     def test_threads_grow_one_table(self):
-        # four threads grow one fresh table index by index while the
-        # interpreter switches threads every microsecond; a growth step that
-        # two threads both take would duplicate or skip an entry
+        # four threads grow one fresh table index by index up to its cap,
+        # and read past it, while the interpreter switches threads every
+        # microsecond; a growth step that two threads both take would
+        # duplicate or skip an entry, and every thread's reads, those past
+        # the cap included, must match one thread's
         reference = GadicSequence(prefix=[7], period=[2, 3, 5])
-        reference.value(400)
+        expected = [(reference.value(i), reference.leading_index(i + 1))
+                    for i in range(401)]
+        assert len(reference._cache) == cap_index(([7], [2, 3, 5])) + 1 < 400
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -76,10 +80,12 @@ class TestValue:
                 cache, quot = seq._cache, seq._quot
                 start = threading.Barrier(4)
 
+                got = []
+
                 def grow():
                     start.wait()
-                    for i in range(401):
-                        seq.value(i)
+                    got.append([(seq.value(i), seq.leading_index(i + 1))
+                                for i in range(401)])
 
                 threads = [threading.Thread(target=grow) for _ in range(4)]
                 for thread in threads:
@@ -87,10 +93,11 @@ class TestValue:
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                # grown in place: leading_index holds the list through its
-                # growth loop
+                # grown in place: the digit loops hold the lists through a
+                # growth
                 assert seq._cache is cache and seq._quot is quot
                 assert cache == reference._cache and quot == reference._quot
+                assert got == [expected] * 4
         finally:
             sys.setswitchinterval(interval)
 
@@ -429,9 +436,9 @@ def test_represent_tabulates_no_large_quotient():
 
 
 def test_digit_loops_make_no_quotient_calls(monkeypatch):
-    """represent never calls quotient; leading_index, evaluate,
+    """represent never calls quotient; leading_index, value, evaluate,
     check_prefix_inequality and random_alternate_decomposition make no call
-    once the scale table is warm."""
+    once the scale table is warm, past its cap too."""
     from gadic import check_prefix_inequality
     from gadic.verifier import random_alternate_decomposition
     seq = GadicSequence(prefix=[3, 7], period=[2, 5, 2])
@@ -451,11 +458,13 @@ def test_digit_loops_make_no_quotient_calls(monkeypatch):
     rep = seq.represent(n)
     assert calls == 0
     assert len(seq._cache) == 1   # represent leaves the scale table alone
-    M = seq.leading_index(n)       # cold: grows the table to g_{M+1}
+    M = seq.leading_index(n)       # cold: grows the table to its cap
     assert M == rep.max_index()
+    assert len(seq._cache) == cap_index(([3, 7], [2, 5, 2])) + 1 < M
     calls = 0
     assert seq.leading_index(n) == M
     assert seq.leading_index(smaller) == expected
+    assert seq.value(M) <= n < seq.value(M + 1)
     assert seq.evaluate(rep) == n
     assert check_prefix_inequality(seq, rep, list(rep.items())).all_hold
     rng = random.Random(4)
@@ -463,6 +472,98 @@ def test_digit_loops_make_no_quotient_calls(monkeypatch):
         alt = random_alternate_decomposition(seq, rep, rng, max_steps=60)
         assert check_prefix_inequality(seq, rep, alt).all_hold
     assert calls == 0
+
+
+# (prefix, period): one quotient, two, a prefix before a period of three,
+# and a lone quotient above the 2^8 block bound
+CAP_SEQUENCES = {
+    "[2]": ([], [2]),
+    "[2, 3]": ([], [2, 3]),
+    "[3, 7] + [2, 5, 2]": ([3, 7], [2, 5, 2]),
+    "[2^20 + 7]": ([], [2**20 + 7]),
+}
+
+
+def cap_index(params) -> int:
+    """The top index K of a full scale table: the first g_K of more than
+    256 bits (_LEAF_BITS) at or past one period after the prefix."""
+    prefix, period = params
+    seq, K, g = fresh(params), 0, 1
+    while K < len(prefix) + len(period) or g.bit_length() <= 256:
+        K += 1
+        g *= seq.quotient(K)
+    return K
+
+
+class TestCappedTable:
+    """The scale table stops at its cap; value, leading_index and evaluate
+    reach past it from the table and powers of its span."""
+
+    @pytest.mark.parametrize("name", CAP_SEQUENCES)
+    def test_agrees_across_the_cap(self, name):
+        params = CAP_SEQUENCES[name]
+        K = cap_index(params)
+        oracle = fresh(params)
+        rng = random.Random(15)
+        ns = [(1 << 256) + e for e in (-1, 0, 1)]
+        for j in (K - 1, K, K + 1, K + 2, K + 7):   # g_K is the first past it
+            ns += [scale_oracle(oracle, j) + e for e in (-1, 0, 1)]
+        ns += [rng.getrandbits(bits) | 1 << (bits - 1)
+               for bits in (255, 256, 257, 300, 1024, 4096, 8192)]
+        warm = fresh(params)
+        for n in ns:
+            rep = represent_oracle(oracle, n)
+            M = max(rep)
+            cold = fresh(params)
+            assert cold.evaluate(DigitRep(rep)) == n   # grows the table first
+            for seq in (cold, warm):
+                assert seq.leading_index(n) == M
+                assert seq.represent(n).digits == rep
+                assert seq.value(M) == scale_oracle(oracle, M)
+                assert seq.value(M) <= n < seq.value(M + 1)
+                assert seq.evaluate(DigitRep(rep)) == n
+        assert len(warm._cache) == K + 1
+        for i in range(K + 40):
+            assert warm.value(i) == fresh(params).value(i) == \
+                scale_oracle(oracle, i)
+
+    @pytest.mark.parametrize("name", CAP_SEQUENCES)
+    def test_table_past_the_cap(self, name):
+        """_table hands out the shared lists below the cap and transient
+        ones past it, and never grows the shared table past its cap."""
+        params = CAP_SEQUENCES[name]
+        K = cap_index(params)
+        oracle = fresh(params)
+        seq = fresh(params)
+        g, quot = seq._table(3)
+        assert g is seq._cache and quot is seq._quot
+        g, quot = seq._table(K + 20)
+        assert g is not seq._cache and len(seq._cache) == K + 1
+        assert g[:K + 20] == [scale_oracle(oracle, j) for j in range(K + 20)]
+        assert quot[:K + 20] == [oracle.quotient(j + 1)
+                                 for j in range(K + 20)]
+        g, only = seq._table(K + 20, values=False)   # no values past the cap
+        assert g is seq._cache and only == quot
+
+    @pytest.mark.parametrize("name", CAP_SEQUENCES)
+    def test_large_n_in_linear_memory(self, name):
+        """At 65,536 bits, leading_index, value(M + 1) and evaluate stay
+        under 8 MB from a cold table; a table grown to g_{M+1} on [2] would
+        hold about 275 MB."""
+        seq = fresh(CAP_SEQUENCES[name])
+        n = random.Random(16).getrandbits(1 << 16) | 1 << 65535
+        rep = seq.represent(n)
+        tracemalloc.start()
+        try:
+            M = seq.leading_index(n)
+            above = seq.value(M + 1)
+            total = seq.evaluate(rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert M == rep.max_index() and total == n
+        assert above // seq.quotient(M + 1) <= n < above
+        assert peak < 8 << 20
 
 
 # The per-block loop that `represent` split into leaves, kept as its

@@ -214,6 +214,30 @@ class TestVerifyWitness:
         cert.multiset, cert.n_value = multiset, n
         assert not cross_check_witness(binary_pairs, cert, w)
 
+    def test_certifies_past_the_scale_table(self):
+        # binary-h2's scale table stops at g_256 (its cap); a member with
+        # top index 3,000 reads its values from a transient table
+        spec = load_preset("binary-h2").basis
+        a = 1 << 3000 | 1 << 2996 | 1
+        certs = construct_witness(spec, 2, a, W=2)
+        for cert in certs:
+            assert cert.M0 == 3000
+            assert sum(cert.multiset) == cert.n_value
+            assert verify_witness(spec, cert).verdict == "certified"
+
+    @pytest.mark.parametrize("multiset,n", [
+        ([1, 2, 8], 9),    # three values; 9 has two orderings, 2! of them
+        ([1, 2, 8], 11),   # three values that do sum to n
+        ([1, 10], 9),      # h values, but their sum is 11
+    ])
+    def test_malformed_multiset_fails(self, binary_pairs, multiset, n):
+        cert = construct_witness(binary_pairs, 2, 1)[0]
+        cert.multiset = multiset
+        cert.n_rep = binary_pairs.seq.represent(n)
+        cert = verify_witness(binary_pairs, cert)
+        assert cert.verdict == "failed"
+        assert (cert.expected_count, cert.measured_count) == (None, 2)
+
     def test_expected_count_is_permutation_count(self, binary):
         # witness summands are pairwise distinct, so the expected ordered
         # count is h! exactly
