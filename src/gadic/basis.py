@@ -54,7 +54,8 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
     seq = spec.seq
     top = seq.leading_index(N)
     quots, colors = spec._positions(top + 1)
-    g = seq._table(top + 2)[0]  # g_0..g_{top+1}
+    # the shared table: leading_index grew it past N, so it holds g_{top+1}
+    g = seq._table(top + 1)[0]
     clip = (1 << (N + 1)) - 1
     # the indices of a's nonzero digits
     support = [j for j in range(top + 1) if a % g[j + 1] >= g[j]] if a <= N else []

@@ -121,12 +121,10 @@ class GadicSequence:
                     w = (len(cache) - 1 - L) // p * p
                     self._span = (w, cache[L + w] // cache[L])
 
-    def _table(self, n: int, values: bool = True
-               ) -> tuple[list[int], list[int]]:
+    def _table(self, n: int) -> tuple[list[int], list[int]]:
         """(g, quot) with quot[j] = d_{j+1} and g[j] = g_j for every j < n:
         the shared table when it covers them, else copies of it extended to
-        n, which the caller drops when done.  With values False, g is the
-        shared list, however short, and only quot is extended."""
+        n, which the caller drops when done."""
         if n > len(self._quot) and self._span is None:
             self._grow(n)
         g, quot = self._cache, self._quot
@@ -135,10 +133,9 @@ class GadicSequence:
         L, period = len(self.prefix), self.period
         quot = quot + [period[(j - L) % len(period)]
                        for j in range(len(quot), n)]
-        if values:
-            g = g[:]
-            for d in quot[len(g) - 1:n - 1]:
-                g.append(g[-1] * d)
+        g = g[:]
+        for d in quot[len(g) - 1:n - 1]:
+            g.append(g[-1] * d)
         return g, quot
 
     def represent(self, n: int) -> "DigitRep":
@@ -213,9 +210,8 @@ class GadicSequence:
         """Largest index in the support of n >= 1; g_M <= n < g_{M+1}.
 
         Grows the scale table past n, up to its cap, and bisects it.  Past
-        the full table, n // g_L gives up whole spans by divisions by S^(2^t)
-        for t descending (S = g_{L+w} / g_L, see the class docstring), and
-        the table is bisected for the rest."""
+        the full table it is the top index of `represent(n)`, which splits
+        n in linear memory."""
         if n < 1:
             raise DomainError("leading index is undefined for n < 1 (empty support)")
         cache = self._cache
@@ -225,19 +221,7 @@ class GadicSequence:
             self._grow(0, n)
         if cache[-1] > n:  # again: the table may have grown since
             return bisect_right(cache, n) - 1
-        L = len(self.prefix)
-        w, span = self._span
-        m = n // cache[L]
-        # span^(2^(t+1)) > m once 2 * (bits of span^(2^t)) - 1 > bits of m
-        powers = [span]
-        while 2 * powers[-1].bit_length() - 1 <= m.bit_length():
-            powers.append(powers[-1] * powers[-1])
-        k = 0
-        for t in range(len(powers) - 1, -1, -1):
-            if powers[t] <= m:
-                m //= powers[t]
-                k += w << t
-        return bisect_right(cache, m * cache[L], L, L + w) - 1 + k
+        return self.represent(n).max_index()
 
     def serialize(self) -> str:
         return f"prefix={self.prefix!r};period={self.period!r}".replace(" ", "")

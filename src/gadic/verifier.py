@@ -173,11 +173,12 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
         raise DomainError(f"{a} is not a member of the constructed set")
     M0 = rep_a.max_index()
     seq = spec.seq
-    g, own = seq._table(M0)[0], rep_a.digits
+    own = rep_a.digits
     # class i's maximal digits below M0 and their value; `shared` merges
     # them with a's digits, ascending
     maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]
     base = [0] * spec.h
+    gj = 1  # g_j, multiplied up as j runs: no scale table past its cap
     shared: dict[int, int] = {}
     quots, colors = spec._positions(M0)
     for j in range(M0):
@@ -190,7 +191,8 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
                                f"supports overlap at index {j}")
         else:
             maximal[c][j] = shared[j] = top = quots[j] - 1
-            base[c] += top * g[j]
+            base[c] += top * gj
+        gj *= quots[j]
     shared[M0] = own[M0]
     gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
 
@@ -392,8 +394,7 @@ def random_alternate_decomposition(seq, rep: DigitRep, rng,
     alternate decomposition of n: coefficient splits, and radix splits using
     g_v = g_{v-1} + (d_v - 1) g_{v-1}.  The terms come in no particular
     order."""
-    # quot[v - 1] = d_v for every index v
-    quot = seq._table(rep.max_index(), values=False)[1]
+    quot = seq._table(rep.max_index())[1]  # quot[v - 1] = d_v for each index v
     terms = [[j, x] for j, x in rep.items()]
     for _ in range(rng.randrange(max_steps + 1)):
         k = rng.randrange(len(terms))

@@ -225,6 +225,22 @@ class TestVerifyWitness:
             assert sum(cert.multiset) == cert.n_value
             assert verify_witness(spec, cert).verdict == "certified"
 
+    def test_witnesses_past_the_scale_table_in_linear_memory(self):
+        # a table grown to g_16384 on [2] would hold about 16 MB
+        import tracemalloc
+        spec = load_preset("binary-h2").basis
+        a = 1 << 16384 | 1 << 16380 | 1
+        tracemalloc.start()
+        try:
+            certs = construct_witness(spec, 2, a, W=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [cert.M0 for cert in certs] == [16384, 16384]
+        assert all(sum(cert.multiset) == cert.n_value for cert in certs)
+        assert peak < 8 << 20
+        assert len(spec.seq._cache) == 257   # the cap of [2]
+
     @pytest.mark.parametrize("multiset,n", [
         ([1, 2, 8], 9),    # three values; 9 has two orderings, 2! of them
         ([1, 2, 8], 11),   # three values that do sum to n
