@@ -54,7 +54,7 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
     seq = spec.seq
     top = seq.leading_index(N)
     quots, colors = spec._positions(top + 1)
-    # the shared table: leading_index grew it past N, so it holds g_{top+1}
+    # the shared scale table: N <= 2^27 < g_K, so it holds g_{top+1}
     g = seq._table(top + 1)[0]
     clip = (1 << (N + 1)) - 1
     # the indices of a's nonzero digits

@@ -8,10 +8,11 @@ with digits x_j in [0, d_{j+1} - 1]; we store only the nonzero digits.
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, cycle
+from functools import cached_property
+from itertools import accumulate, chain, cycle
 from typing import Iterable, Iterator
 
 # Largest block radix of a run of quotients; a run's digit table has one
@@ -21,13 +22,12 @@ _BLOCK = 1 << 8
 # (block radix B, width, rows): rows[r] holds the (offset, digit) pairs of
 # the nonzero digits of r < B; None for a lone quotient above _BLOCK.
 _Run = tuple[int, int, "list[tuple[tuple[int, int], ...]] | None"]
-# (prefix runs, cycle runs, g_L * Q, g_L, leaf radix Q, positions Q spans)
-_Tables = tuple[list[_Run], list[_Run], int, int, int, int]
 
-# `represent`'s leaf radix Q is the smallest power of the cycle radix with
-# more than this many bits; the run tables read the leaves below Q one
-# `divmod` per run.  On [2] at 8,192 bits, leaves of 64, 128, 256, 512 and
-# 1024 bits took 0.60, 0.57, 0.53, 0.53 and 0.60 ms.
+# The leaf radix Q is the smallest power of the cycle radix with more than
+# this many bits; the run tables read the leaves below Q one `divmod` per
+# run, and the scale table ends one Q past the prefix.  On [2] at 8,192
+# bits, leaves of 64, 128, 256, 512 and 1024 bits took 0.60, 0.57, 0.53,
+# 0.53 and 0.60 ms.
 _LEAF_BITS = 256
 
 
@@ -41,33 +41,28 @@ class DigitRangeError(ValueError):
 
 @dataclass
 class GadicSequence:
-    """The quotient stream (d_i), a lazily grown and capped scale table and
-    the digit tables of `represent`.
+    """The quotient stream (d_i), its scale table and the digit tables of
+    `represent`.
 
-    The scale table holds g_0..g_K in `_cache` and, in step with it, the
-    quotients d_1..d_K in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit
-    j).  `_grow` appends to these same two lists under `_grow_lock`, one
-    index at a time as far as a call needs, and stops for good once the
-    table is full: its last value has more than _LEAF_BITS bits and it
-    reaches one period past the prefix.  It then sets `_span` to (w, g_{L+w}
-    / g_L), w the whole periods the table holds past the prefix (L its
-    length), so g_{L+kw+o} = g_{L+o} * (g_{L+w} / g_L)^k gives every index
-    past the table and memory stays linear in the bits of n.  Only core
-    reads the lists; other modules ask `_table`.  `_runs` holds the prefix
-    runs and the cycle runs of the quotient stream (see `_cut_runs`) with
-    the radices `represent` splits at (see `_digit_tables`), built on the
-    first `represent`.
+    Every table is derived from (prefix, period) alone and built in one
+    piece on first use, then never changed, so threads share them with no
+    lock: threads racing on a first build compute equal tables.  `_span`
+    is (reps, Q, w): the cycle repeats the period `reps` times, as many as
+    fit in one run ([2] -> 2^8, [2, 3] -> 6^3), and the leaf radix Q, the
+    smallest power of the cycle radix with more than _LEAF_BITS bits,
+    spans w positions.  The scale table holds g_0..g_K in `_cache` and
+    d_1..d_K in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit j),
+    K = L + w with L the prefix length, so g_K = g_L * Q and
+    g_{L+kw+o} = g_{L+o} * Q^k gives every index past it: memory stays
+    linear in the bits of n.  Only core reads these; other modules ask
+    `_table`.  `_runs` holds the prefix runs and the cycle runs of the
+    quotient stream (see `_cut_runs`), the bound g_L * Q below which
+    `represent` reads n with no split, and g_L; `represent` never builds
+    the scale table.
     """
 
     period: list[int]
     prefix: list[int] | None = None
-    _cache: list[int] = field(init=False, repr=False, compare=False)
-    _quot: list[int] = field(init=False, repr=False, compare=False)
-    _span: tuple[int, int] | None = field(
-        init=False, repr=False, compare=False)
-    _runs: _Tables | None = field(
-        init=False, repr=False, compare=False)
-    _grow_lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.prefix = list(self.prefix) if self.prefix else []
@@ -77,11 +72,34 @@ class GadicSequence:
         for d in self.prefix + self.period:
             if d < 2:
                 raise ValueError(f"quotient {d} < 2")
-        self._cache = [1]  # g_0
-        self._quot = []
-        self._span = None
-        self._runs = None
-        self._grow_lock = threading.Lock()
+
+    @cached_property
+    def _span(self) -> tuple[int, int, int]:
+        reps = 1
+        P = math.prod(self.period)
+        while P ** (reps + 1) <= _BLOCK:
+            reps += 1
+        P **= reps
+        Q, cycles = P, 1
+        while Q.bit_length() <= _LEAF_BITS:
+            Q *= P
+            cycles += 1
+        return reps, Q, cycles * reps * len(self.period)
+
+    @cached_property
+    def _runs(self) -> tuple[list[_Run], list[_Run], int, int]:
+        reps, Q, _ = self._span
+        g_L = math.prod(self.prefix)
+        return (_cut_runs(self.prefix), _cut_runs(self.period * reps),
+                g_L * Q, g_L)
+
+    @cached_property
+    def _quot(self) -> list[int]:
+        return self.prefix + self.period * (self._span[2] // len(self.period))
+
+    @cached_property
+    def _cache(self) -> list[int]:
+        return list(accumulate(self._quot, operator.mul, initial=1))
 
     def quotient(self, i: int) -> int:
         """d_i for i >= 1 (prefix lookup, then periodic)."""
@@ -92,41 +110,22 @@ class GadicSequence:
         return self.period[(i - 1 - len(self.prefix)) % len(self.period)]
 
     def value(self, i: int) -> int:
-        """g_i = d_1 * d_2 * ... * d_i, exact; g_0 = 1.  Past the full table,
-        g_{L+o} times a power of its span (see the class docstring)."""
+        """g_i = d_1 * d_2 * ... * d_i, exact; g_0 = 1.  Past the scale
+        table, g_{L+o} * Q^k (see the class docstring)."""
         if i < 0:
             raise DomainError(f"scale index must be >= 0, got {i}")
         cache = self._cache
-        if i >= len(cache):
-            if self._span is None:
-                self._grow(i)
-            if i >= len(cache):
-                L = len(self.prefix)
-                w, span = self._span
-                k, o = divmod(i - L, w)
-                return cache[L + o] * span ** k
-        return cache[i]
-
-    def _grow(self, i: int, n: int = -1) -> None:
-        """Append to the scale table until it holds g_i and a value above n,
-        or until it is full; the full table sets `_span`."""
-        with self._grow_lock:  # the loop checks again under the lock
-            cache, quot = self._cache, self._quot
-            L, p = len(self.prefix), len(self.period)
-            while self._span is None and (i >= len(cache) or cache[-1] <= n):
-                d = self.quotient(len(cache))
-                quot.append(d)
-                cache.append(cache[-1] * d)
-                if len(cache) > L + p and cache[-1].bit_length() > _LEAF_BITS:
-                    w = (len(cache) - 1 - L) // p * p
-                    self._span = (w, cache[L + w] // cache[L])
+        if i < len(cache):
+            return cache[i]
+        L = len(self.prefix)
+        _, Q, w = self._span
+        k, o = divmod(i - L, w)
+        return cache[L + o] * Q ** k
 
     def _table(self, n: int) -> tuple[list[int], list[int]]:
         """(g, quot) with quot[j] = d_{j+1} and g[j] = g_j for every j < n:
-        the shared table when it covers them, else copies of it extended to
-        n, which the caller drops when done."""
-        if n > len(self._quot) and self._span is None:
-            self._grow(n)
+        the shared scale table when it covers them, else copies of it
+        extended to n, which the caller drops when done."""
         g, quot = self._cache, self._quot
         if n <= len(quot):
             return g, quot
@@ -142,8 +141,8 @@ class GadicSequence:
         """The unique sparse digit map of n >= 0; 0 maps to the empty rep.
 
         The run tables read n one `divmod` per block (`_read_runs`) when n
-        is below g_L * Q, L the prefix length and Q the leaf radix (see
-        `_digit_tables`).  A larger n gives up its prefix digits with one
+        is below g_L * Q, L the prefix length and Q the leaf radix (see the
+        class docstring).  A larger n gives up its prefix digits with one
         `divmod` by g_L, and the quotient is split at cycle-aligned indices
         by `divmod`s by Q, Q^2, Q^4, ... down to leaves below Q (`_split`),
         so no division runs across all of n once per block.  The scale
@@ -151,20 +150,19 @@ class GadicSequence:
         """
         if n < 0:
             raise DomainError(f"cannot represent negative integer {n}")
-        if self._runs is None:
-            self._runs = _digit_tables(self.prefix, self.period)
-        prefix_runs, cycle_runs, bound, g_L, leaf, width = self._runs
+        prefix_runs, cycle_runs, bound, g_L = self._runs
         digits: dict[int, int] = {}
         if n < bound:
             _read_runs(n, chain(prefix_runs, cycle(cycle_runs)), 0, digits)
         else:
             n, r = divmod(n, g_L)
             _read_runs(r, prefix_runs, 0, digits)
+            _, Q, w = self._span
             # n < powers[-1]^2 once 2 * (bits of powers[-1] - 1) >= bits of n
-            powers, bits = [leaf], n.bit_length()
+            powers, bits = [Q], n.bit_length()
             while 2 * powers[-1].bit_length() - 2 < bits:
                 powers.append(powers[-1] * powers[-1])
-            _split(n, len(self.prefix), len(powers) - 1, powers, width,
+            _split(n, len(self.prefix), len(powers) - 1, powers, w,
                    cycle_runs, digits)
         return DigitRep._trusted(digits)
 
@@ -172,17 +170,15 @@ class GadicSequence:
         """Exact sum of x_j * g_j; validates digit ranges against this
         sequence and reports the lowest bad index.
 
-        Digits past the full table are summed per block of its span w:
+        Digits past the scale table are summed per block of w positions:
         block b's digits x at L + b*w + o add up x * g_{L+o} (the prefix
-        digits join block 0), and the block sums are joined pairwise by S,
-        S^2, S^4, ... (S = g_{L+w} / g_L), the inverse of `represent`'s
-        split, so no table past the cap is built."""
+        digits join block 0), and the block sums are joined pairwise by Q,
+        Q^2, Q^4, ..., the powers `represent` splits by, so no table past
+        g_K is built."""
         if rep.is_zero():
             return 0
         top = rep.max_index()
         quot, cache = self._quot, self._cache
-        if top >= len(quot) and self._span is None:
-            self._grow(top + 1)
         if top < len(quot):
             total = 0
             for j, x in rep.items():
@@ -191,7 +187,7 @@ class GadicSequence:
                 total += x * cache[j]
             return total
         L = len(self.prefix)
-        w, span = self._span
+        _, Q, w = self._span
         blocks = [0] * ((top - L) // w + 1)
         for j, x in rep.items():
             b = max(j - L, 0) // w  # the prefix digits join block 0
@@ -201,25 +197,20 @@ class GadicSequence:
             blocks[b] += x * cache[i]
         while len(blocks) > 1:
             blocks.append(0)
-            blocks = [lo + hi * span for lo, hi in zip(blocks[::2], blocks[1::2])]
+            blocks = [lo + hi * Q for lo, hi in zip(blocks[::2], blocks[1::2])]
             if len(blocks) > 1:
-                span *= span
+                Q *= Q
         return blocks[0]
 
     def leading_index(self, n: int) -> int:
         """Largest index in the support of n >= 1; g_M <= n < g_{M+1}.
 
-        Grows the scale table past n, up to its cap, and bisects it.  Past
-        the full table it is the top index of `represent(n)`, which splits
-        n in linear memory."""
+        Bisects the scale table when n < g_K; a larger n gets the top
+        index of `represent(n)`, which splits n in linear memory."""
         if n < 1:
             raise DomainError("leading index is undefined for n < 1 (empty support)")
         cache = self._cache
-        if cache[-1] > n:
-            return bisect_right(cache, n) - 1
-        if self._span is None:
-            self._grow(0, n)
-        if cache[-1] > n:  # again: the table may have grown since
+        if n < cache[-1]:
             return bisect_right(cache, n) - 1
         return self.represent(n).max_index()
 
@@ -308,25 +299,6 @@ def _cut_runs(quots: list[int]) -> list[_Run]:
         runs.append((B, end - start, rows))
         start = end
     return runs
-
-
-def _digit_tables(prefix: list[int], period: list[int]) -> _Tables:
-    """`represent`'s tables (see `_Tables`).  The cycle repeats the period
-    as many whole times as fit in one run ([2] -> 2^8, [2, 3] -> 6^3), and
-    the leaf radix Q is the smallest power of its radix with more than
-    _LEAF_BITS bits."""
-    reps = 1
-    P = math.prod(period)
-    while P ** (reps + 1) <= _BLOCK:
-        reps += 1
-    P **= reps
-    leaf, cycles = P, 1
-    while leaf.bit_length() <= _LEAF_BITS:
-        leaf *= P
-        cycles += 1
-    g_L = math.prod(prefix)
-    return (_cut_runs(prefix), _cut_runs(period * reps), g_L * leaf, g_L,
-            leaf, cycles * reps * len(period))
 
 
 def _read_runs(n: int, runs: Iterable[_Run], j: int,

@@ -235,12 +235,14 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     route, `_count_without`, counts the representations that avoid a; it
     must find none for a certified witness, and no more than those left
     once the expected ones through a are taken out, or this raises.  A
-    multiset that is not h values summing to n fails with no expected
-    count, whatever the counts.
+    multiset that is not h members summing to n, or a removed value that
+    is not a member, fails with no expected count, whatever the counts.
     """
     n = spec.seq.evaluate(cert.n_rep)
     measured = count_reps_digitdp(spec, cert.n_rep, spec.h).ordered_count
-    if len(cert.multiset) != spec.h or sum(cert.multiset) != n:
+    if (len(cert.multiset) != spec.h or sum(cert.multiset) != n
+            or not all(v >= 1 and spec.classify(v) is not None
+                       for v in (cert.removed, *cert.multiset))):
         cert.expected_count, cert.measured_count = None, measured
         cert.verdict = "failed"
         return cert

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -61,6 +63,15 @@ class TestRunConfig:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             load_preset("nope")
+
+    def test_deepcopy_and_pickle_round_trip(self):
+        # with its tables built, a configuration copies like a plain value
+        cfg = load_preset("binary-h2")
+        cfg.seq.value(300)
+        cfg.seq.represent(1 << 300)
+        for obj in (cfg.seq, cfg.basis, cfg):
+            for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert twin == obj
 
 
 class TestRepresentCommand:

@@ -63,41 +63,44 @@ class TestValue:
             seq.quotient(k) for k in range(i + 1, i + j + 1))
 
     def test_threads_grow_one_table(self):
-        # four threads grow one fresh table index by index up to its cap,
-        # and read past it, while the interpreter switches threads every
-        # microsecond; a growth step that two threads both take would
-        # duplicate or skip an entry, and every thread's reads, those past
-        # the cap included, must match one thread's
-        reference = GadicSequence(prefix=[7], period=[2, 3, 5])
+        # four threads race on the first build of one fresh table (nothing
+        # touches it before the barrier) and read below and past it while
+        # the interpreter switches threads every microsecond; every
+        # thread's reads must match one thread's, and once built the table
+        # is never replaced or changed
+        params = ([7], [2, 3, 5])
+        reference = fresh(params)
         expected = [(reference.value(i), reference.leading_index(i + 1))
                     for i in range(401)]
-        assert len(reference._cache) == cap_index(([7], [2, 3, 5])) + 1 < 400
+        assert len(reference._cache) == cap_index(params) + 1 < 400
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(50):
-                seq = GadicSequence(prefix=[7], period=[2, 3, 5])
-                cache, quot = seq._cache, seq._quot
+                seq = fresh(params)
                 start = threading.Barrier(4)
 
                 got = []
 
-                def grow():
+                def read():
                     start.wait()
                     got.append([(seq.value(i), seq.leading_index(i + 1))
                                 for i in range(401)])
 
-                threads = [threading.Thread(target=grow) for _ in range(4)]
+                threads = [threading.Thread(target=read) for _ in range(4)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                # grown in place: the digit loops hold the lists through a
-                # growth
+                assert got == [expected] * 4
+                cache, quot = seq._cache, seq._quot
+                assert cache == reference._cache and quot == reference._quot
+                seq.leading_index(seq.value(1000))
+                seq.evaluate(DigitRep({1000: 1}))
+                seq._table(1000)
                 assert seq._cache is cache and seq._quot is quot
                 assert cache == reference._cache and quot == reference._quot
-                assert got == [expected] * 4
         finally:
             sys.setswitchinterval(interval)
 
@@ -252,7 +255,8 @@ class TestSerialization:
 
 
 class TestValueType:
-    """A sequence is its two quotient lists; the grown tables are not."""
+    """A sequence is its two quotient lists; the tables built from them are
+    not."""
 
     def test_equality_ignores_grown_tables(self):
         grown = GadicSequence([2, 3], prefix=[4])
@@ -457,8 +461,8 @@ def test_digit_loops_make_no_quotient_calls(monkeypatch):
     monkeypatch.setattr(GadicSequence, "quotient", counting)
     rep = seq.represent(n)
     assert calls == 0
-    assert len(seq._cache) == 1   # represent leaves the scale table alone
-    M = seq.leading_index(n)       # cold: grows the table to its cap
+    assert "_cache" not in vars(seq)   # represent builds no scale table
+    M = seq.leading_index(n)           # cold: builds the scale table
     assert M == rep.max_index()
     assert len(seq._cache) == cap_index(([3, 7], [2, 5, 2])) + 1 < M
     calls = 0
@@ -485,19 +489,26 @@ CAP_SEQUENCES = {
 
 
 def cap_index(params) -> int:
-    """The top index K of a full scale table: the first g_K of more than
-    256 bits (_LEAF_BITS) at or past one period after the prefix."""
+    """The top index K = L + w of the scale table, L the prefix length: w
+    spans the fewest whole cycles past the prefix whose quotients multiply
+    to more than 256 bits (_LEAF_BITS), a cycle being the period repeated
+    as many times (at least once) as keep its product at most 2^8."""
     prefix, period = params
-    seq, K, g = fresh(params), 0, 1
-    while K < len(prefix) + len(period) or g.bit_length() <= 256:
+    seq, L, p = fresh(params), len(prefix), len(period)
+    reps = 1
+    while math.prod(seq.quotient(L + j)
+                    for j in range(1, p * (reps + 1) + 1)) <= 256:
+        reps += 1
+    K, ratio = L, 1   # ratio = g_K / g_L
+    while (K - L) % (reps * p) or ratio.bit_length() <= 256:
         K += 1
-        g *= seq.quotient(K)
+        ratio *= seq.quotient(K)
     return K
 
 
 class TestCappedTable:
-    """The scale table stops at its cap; value, leading_index and evaluate
-    reach past it from the table and powers of its span."""
+    """The scale table ends at g_K = g_L * Q; value, leading_index and
+    evaluate reach past it from the table and powers of the leaf radix Q."""
 
     @pytest.mark.parametrize("name", CAP_SEQUENCES)
     def test_agrees_across_the_cap(self, name):
@@ -515,7 +526,7 @@ class TestCappedTable:
             rep = represent_oracle(oracle, n)
             M = max(rep)
             cold = fresh(params)
-            assert cold.evaluate(DigitRep(rep)) == n   # grows the table first
+            assert cold.evaluate(DigitRep(rep)) == n   # builds the table first
             for seq in (cold, warm):
                 assert seq.leading_index(n) == M
                 assert seq.represent(n).digits == rep
@@ -530,7 +541,7 @@ class TestCappedTable:
     @pytest.mark.parametrize("name", CAP_SEQUENCES)
     def test_table_past_the_cap(self, name):
         """_table hands out the shared lists below the cap and transient
-        ones past it, and never grows the shared table past its cap."""
+        ones past it, and never changes the shared table."""
         params = CAP_SEQUENCES[name]
         K = cap_index(params)
         oracle = fresh(params)
@@ -589,8 +600,8 @@ def split_points(seq: GadicSequence, bits: int) -> list[tuple[int, int]]:
     """(j, g_j) for every index j at which `represent` may split n, with
     g_j of at most `bits` bits: the end of the prefix, then every leaf
     boundary.  g_j is multiplied up here; the scale table stays cold."""
-    seq.represent(0)
-    *_, g, leaf, width = seq._runs
+    g = seq._runs[3]
+    _, leaf, width = seq._span
     j, points = len(seq.prefix), []
     while g.bit_length() <= bits:
         points.append((j, g))
@@ -655,7 +666,7 @@ class TestRepresentSplit:
             assert seq.represent(g).digits == {j: 1}
             assert seq.represent(g + 1).digits == ({0: 1, j: 1} if j else
                                                    represent_oracle(seq, g + 1))
-        assert len(seq._cache) == 1
+        assert "_cache" not in vars(seq)
 
     def test_large_n_round_trips(self):
         seq = GadicSequence(prefix=[7], period=[1000, 2])
@@ -673,7 +684,7 @@ class TestRepresentSplit:
         n = random.Random(13).getrandbits(8192) | 1 << 8191
         assert seq.represent(n).digits == represent_oracle(
             GadicSequence(prefix=[5, 3], period=[2, 3]), n)
-        assert seq._cache == [1]
+        assert "_cache" not in vars(seq)
 
     def test_leaves_no_cyclic_garbage(self):
         """A 2^16-bit conversion frees all it makes by reference counting:

@@ -254,6 +254,21 @@ class TestVerifyWitness:
         assert cert.verdict == "failed"
         assert (cert.expected_count, cert.measured_count) == (None, 2)
 
+    @pytest.mark.parametrize("removed,multiset", [
+        (5, [4, 5]),     # 5 is not a member; 9 = 1 + 8 avoids it
+        (0, [1, 8]),     # 0 is never a member
+        (1, [-1, 10]),   # a negative value
+        (-1, [1, 8]),    # a negative removed value
+    ])
+    def test_non_member_fails(self, removed, multiset):
+        spec = load_preset("binary-h2").basis
+        cert = construct_witness(spec, 2, 1)[0]
+        assert (cert.multiset, cert.n_value) == ([1, 8], 9)
+        cert.removed, cert.multiset = removed, multiset
+        cert = verify_witness(spec, cert)
+        assert cert.verdict == "failed"
+        assert (cert.expected_count, cert.measured_count) == (None, 2)
+
     def test_expected_count_is_permutation_count(self, binary):
         # witness summands are pairwise distinct, so the expected ordered
         # count is h! exactly
