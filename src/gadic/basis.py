@@ -2,9 +2,10 @@
 
 A positive integer belongs to the constructed set exactly when the support
 of its canonical digit expansion is nonempty and single-colored.  A single
-membership query reads the canonical representation; every window form of
-the set (its members, and X + A for a window bit array X) comes from one
-digit-box kernel, `_add_members`.
+membership query reads the canonical representation; the members in
+increasing order come from one lazy walk of the digit boxes,
+`BasisSpec._walk`, and every window bit array (the member mask, and X + A
+for a window bit array X) from one digit-box kernel, `_add_members`.
 """
 from __future__ import annotations
 
@@ -90,19 +91,6 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
     return out & clip
 
 
-def _low_bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask >= 0, ascending: one conversion to
-    a binary string, then one C-level search per set bit from the low end."""
-    bits = format(mask, "b")
-    top = len(bits) - 1
-    out = []
-    i = bits.rfind("1")
-    while i >= 0:
-        out.append(top - i)
-        i = bits.rfind("1", 0, i)
-    return out
-
-
 @dataclass
 class BasisSpec:
     """Full configuration: scale sequence, coloring, and order h."""
@@ -133,17 +121,47 @@ class BasisSpec:
     def _positions(self, length: int) -> tuple[list[int], list[int]]:
         """d_{j+1} and the class of index j for j < length, unrolled from the
         prefixes and periods (the scale table is not touched)."""
-        def unroll(prefix: list[int], period: list[int]) -> list[int]:
-            return (prefix + period * (length // len(period) + 1))[:length]
+        def unroll(prefix, period) -> list[int]:
+            return (list(prefix) + list(period) * (length // len(period) + 1))[:length]
         return (unroll(self.seq.prefix, self.seq.period),
                 unroll(self.partition.prefix_colors,
                        self.partition.period_colors))
 
+    def _walk(self):
+        """Yield the members in increasing order, lazily.
+
+        The members with top index M are x*g_M + s for x in [1, d_{M+1} - 1]
+        and s in {0} followed by the class-color(M) members below g_M, all
+        in [g_M, g_{M+1}) and in that order.  Those s are exactly the
+        class's members yielded before index M, so the walk holds only the
+        members it has yielded, one list per class."""
+        held: list[list[int]] = [[] for _ in range(self.h)]
+        seq, color = self.seq, self.partition.color
+        g, M = 1, 0
+        while True:
+            below, level = held[color(M)], []
+            d = seq.quotient(M + 1)
+            for base in range(g, d * g, g):
+                level.append(base)
+                yield base
+                for s in below:
+                    level.append(base + s)
+                    yield base + s
+            below += level
+            g *= d
+            M += 1
+
     def enumerate(self, N: int) -> "MemberWindow":
-        """All members in [1, N], as a sorted list plus a bit array: one
-        round of the digit-box kernel from X = {0}."""
+        """All members in [1, N]: the bit array is one round of the
+        digit-box kernel from X = {0}, the sorted list the member walk
+        (`_walk`) up to N."""
         mask = _add_members(self, 1, N)
-        return MemberWindow(N=N, members=_low_bits(mask), mask=mask)
+        members = []
+        for m in self._walk():
+            if m > N:
+                break
+            members.append(m)
+        return MemberWindow(N=N, members=members, mask=mask)
 
     def serialize(self) -> str:
         return f"{self.seq.serialize()}|{self.partition.serialize()}"

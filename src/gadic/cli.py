@@ -15,9 +15,9 @@ from .core import DomainError
 from .basis import WindowTooLargeError
 from .partition import HypothesisViolatedError
 from .config import ConfigError, PRESETS, RunConfig, load_preset
-from .verifier import (_OVERRIDE_HINT, check_lemma1, check_lemma2,
-                       removability_scan, verify_minimality, verify_theorem1,
-                       verify_theorem2)
+from .verifier import (_OVERRIDE_HINT, _minimality, check_lemma1,
+                       check_lemma2, removability_scan, verify_minimality,
+                       verify_theorem1, verify_theorem2)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -122,22 +122,27 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_minimality(cfg: RunConfig, args) -> int:
-    batch = verify_minimality(cfg.basis, t=cfg.t, K=cfg.budget,
-                              W=cfg.witnesses, override=args.override)
-    certs, out = batch.certificates, args.out
+    spec, out = cfg.basis, args.out
+    theorem1, rounds = _minimality(spec, cfg.t, cfg.budget, cfg.witnesses,
+                                   args.override)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+    total = certified = 0
+    # each member's lines and files as soon as its certificates are settled
+    for certs in rounds:
         for cert in certs:
-            (out / cert.filename()).write_text(cert.render(cfg.basis))
-    certified = sum(cert.verdict == "certified" for cert in certs)
-    lines = [f"a={cert.removed:<8} class={cert.removed_class} M0={cert.M0} "
-             f"M={sorted(cert.chosen_Ms.values())} n={cert.n_value} "
-             f"count={cert.measured_count}/{cert.expected_count} "
-             f"{cert.verdict}" for cert in certs]
-    lines.append(f"summary: {certified}/{len(certs)} certified; "
-                 f"theorem1 precheck {'pass' if batch.theorem1.passed else 'FAIL'}")
-    print("\n".join(lines))
-    return EXIT_OK if batch.passed else EXIT_FAIL
+            if out is not None:
+                (out / cert.filename()).write_text(cert.render(spec))
+            certified += cert.verdict == "certified"
+        total += len(certs)
+        print("\n".join(
+            f"a={cert.removed:<8} class={cert.removed_class} M0={cert.M0} "
+            f"M={sorted(cert.chosen_Ms.values())} n={cert.n_value} "
+            f"count={cert.measured_count}/{cert.expected_count} "
+            f"{cert.verdict}" for cert in certs))
+    print(f"summary: {certified}/{total} certified; "
+          f"theorem1 precheck {'pass' if theorem1.passed else 'FAIL'}")
+    return EXIT_OK if theorem1.passed and certified == total else EXIT_FAIL
 
 
 def cmd_explore(cfg: RunConfig, args) -> int:

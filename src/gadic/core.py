@@ -39,14 +39,15 @@ class DigitRangeError(ValueError):
     """A digit violates its allowed range [1, d_{j+1} - 1]."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GadicSequence:
     """The quotient stream (d_i), its scale table and the digit tables of
     `represent`.
 
-    Every table is derived from (prefix, period) alone and built in one
-    piece on first use, then never changed, so threads share them with no
-    lock: threads racing on a first build compute equal tables.  `_span`
+    Every table is derived from (prefix, period), two tuples of a frozen
+    instance, and built in one piece on first use, then never changed, so
+    threads share them with no lock: threads racing on a first build
+    compute equal tables.  `_span`
     is (reps, Q, w): the cycle repeats the period `reps` times, as many as
     fit in one run ([2] -> 2^8, [2, 3] -> 6^3), and the leaf radix Q, the
     smallest power of the cycle radix with more than _LEAF_BITS bits,
@@ -61,12 +62,16 @@ class GadicSequence:
     the scale table.
     """
 
-    period: list[int]
-    prefix: list[int] | None = None
+    period: tuple[int, ...]
+    prefix: tuple[int, ...] = ()
+
+    # no caller keys on a sequence, and a cache keyed on one would keep
+    # its tables alive
+    __hash__ = None
 
     def __post_init__(self):
-        self.prefix = list(self.prefix) if self.prefix else []
-        self.period = list(self.period)
+        object.__setattr__(self, "prefix", tuple(self.prefix or ()))
+        object.__setattr__(self, "period", tuple(self.period))
         if not self.period:
             raise ValueError("period must be nonempty")
         for d in self.prefix + self.period:
@@ -95,7 +100,7 @@ class GadicSequence:
 
     @cached_property
     def _quot(self) -> list[int]:
-        return self.prefix + self.period * (self._span[2] // len(self.period))
+        return list(self.prefix + self.period * (self._span[2] // len(self.period)))
 
     @cached_property
     def _cache(self) -> list[int]:
@@ -215,7 +220,8 @@ class GadicSequence:
         return self.represent(n).max_index()
 
     def serialize(self) -> str:
-        return f"prefix={self.prefix!r};period={self.period!r}".replace(" ", "")
+        return (f"prefix={list(self.prefix)!r};"
+                f"period={list(self.period)!r}").replace(" ", "")
 
     @classmethod
     def parse(cls, text: str) -> "GadicSequence":

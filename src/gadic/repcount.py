@@ -5,7 +5,7 @@ carry plus the multiset of summand class commitments; it scales to
 arbitrarily large n.  The window brute force it is tested against is in
 `tests/oracles.py`.  Window sumsets come from the digit-box kernel in
 `basis`; here are the gap reader and the member shift-OR the tests check
-that kernel against.
+that kernel against, both on one bit reader, `_low_bits`.
 """
 from __future__ import annotations
 
@@ -17,12 +17,25 @@ from functools import lru_cache
 from typing import Callable
 
 from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
-from .basis import BasisSpec, _low_bits
+from .basis import BasisSpec
 
 @dataclass
 class RepCountResult:
     ordered_count: int
     peak_states: int | None = None  # digit DP: most live states after a step
+
+
+def _low_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask >= 0, ascending: one conversion to
+    a binary string, then one C-level search per set bit from the low end."""
+    bits = format(mask, "b")
+    top = len(bits) - 1
+    out = []
+    i = bits.rfind("1")
+    while i >= 0:
+        out.append(top - i)
+        i = bits.rfind("1", 0, i)
+    return out
 
 
 def hfold_sumset_window(mask: int, N: int, h: int) -> int:

@@ -309,52 +309,60 @@ class MinimalityBatch:
 def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
                       override: bool = False) -> MinimalityBatch:
     """Certify the first K members with W witnesses each (see
-    construct_witness for how the W witnesses of a member are chosen).
+    construct_witness for how the W witnesses of a member are chosen):
+    `_minimality`'s rounds collected into one batch."""
+    report1, rounds = _minimality(spec, t, K, W, override)
+    return MinimalityBatch(theorem1=report1,
+                           certificates=[c for certs in rounds for c in certs])
 
-    Once per batch: the hypothesis gate, the Theorem 1 precheck, the
-    member window and the config hash.  Once per member: its witnesses
-    and shared digits (_witnesses), the quotients and classes up to its
-    largest witness, and one DP state that walks the shared digits up to
-    each witness's smallest M_i, which strictly increases.  Per witness:
-    the checks that its smallest M_i is not below the carried position
-    and that its digits below it are the shared ones, the walk from there
-    over its own top digits, and the verdict on the accepted count."""
+
+def _minimality(spec: BasisSpec, t: int, K: int, W: int, override: bool):
+    """(Theorem 1 precheck report, rounds): `rounds` is a generator that
+    yields the W settled certificates of each of the first K members in
+    turn, so a caller can print or write a member's certificates before the
+    next member's are built.
+
+    Once per batch, before this returns: the hypothesis gate, the K and W
+    check, the Theorem 1 precheck and the config hash.  The members come
+    from the member walk (`BasisSpec._walk`), which holds only the members
+    it has yielded.  Once per member: its witnesses and shared digits
+    (_witnesses), the quotients and classes up to its largest witness, and
+    one DP state that walks the shared digits up to each witness's
+    smallest M_i, which strictly increases.  Per witness: the checks that
+    its smallest M_i is not below the carried position and that its
+    digits below it are the shared ones (a RuntimeError from `rounds`), the
+    walk from there over its own top digits, and the verdict on the
+    accepted count."""
     fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
-
     report1 = verify_theorem1(spec, 2000)
-
-    N = 64
-    while True:
-        window = spec.enumerate(N)
-        if len(window.members) >= K:
-            break
-        N *= 4
-    members = window.members[:K]
-
-    batch = MinimalityBatch(theorem1=report1)
     key, h = spec_hash(spec, t), spec.h
-    for a in members:
-        shared, certs = _witnesses(spec, t, a, W, fams, key)
-        quots, colors = spec._positions(max(c.n_rep.max_index() for c in certs) + 1)
-        state, pos = _dp_start(h), 0
-        for cert in certs:
-            low = min(cert.chosen_Ms.values())
-            if low < pos:
-                raise RuntimeError(f"witness construction bug: n={cert.n_value}: "
-                                   f"M_i {low} below the carried position {pos}")
-            if {j: x for j, x in cert.n_rep.items() if j < low} != shared:
-                raise RuntimeError(f"witness construction bug: n={cert.n_value} "
-                                   f"does not share the digits below {low}")
-            # the DP's order h is the partition's class count here
-            state = _dp_steps(state, quots, colors, shared.get, pos, low, h, h)
-            pos = low
-            own = _dp_steps(state, quots, colors, cert.n_rep.digits.get, low,
-                            cert.n_rep.max_index() + 1, h, h)
-            _settle(cert, h, _dp_accept(own, zero_allowed=False))
-        batch.certificates += certs
-    return batch
+
+    def rounds():
+        # zip draws from range first, so the walk stops at the K-th member
+        for _, a in zip(range(K), spec._walk()):
+            shared, certs = _witnesses(spec, t, a, W, fams, key)
+            quots, colors = spec._positions(
+                max(c.n_rep.max_index() for c in certs) + 1)
+            state, pos = _dp_start(h), 0
+            for cert in certs:
+                low = min(cert.chosen_Ms.values())
+                if low < pos:
+                    raise RuntimeError(f"witness construction bug: n={cert.n_value}: "
+                                       f"M_i {low} below the carried position {pos}")
+                if {j: x for j, x in cert.n_rep.items() if j < low} != shared:
+                    raise RuntimeError(f"witness construction bug: n={cert.n_value} "
+                                       f"does not share the digits below {low}")
+                # the DP's order h is the partition's class count here
+                state = _dp_steps(state, quots, colors, shared.get, pos, low, h, h)
+                pos = low
+                own = _dp_steps(state, quots, colors, cert.n_rep.digits.get, low,
+                                cert.n_rep.max_index() + 1, h, h)
+                _settle(cert, h, _dp_accept(own, zero_allowed=False))
+            yield certs
+
+    return report1, rounds()
 
 
 def check_lemma1(seq, samples: int = 100_000,

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import hashlib
 import os
@@ -6,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -58,7 +60,7 @@ class TestRunConfig:
 
     def test_comments_and_blank_lines(self):
         cfg = RunConfig.parse("# comment\n\n" + PRESETS["mixed23-h2"])
-        assert cfg.seq.period == [2, 3]
+        assert cfg.seq.period == (2, 3)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -268,7 +270,14 @@ class TestMinimalityCommand:
         body = (tmp_path / files[0]).read_text()
         assert "verdict: certified" in body
 
-    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = gadic.verifier._witnesses
+
+        def counted(*args, **kwargs):
+            built.append(args[2])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(gadic.verifier, "_witnesses", counted)
         out = tmp_path / "taken"
         out.write_text("")
         assert main(["minimality", "--budget", "1", "--witnesses", "1",
@@ -278,6 +287,49 @@ class TestMinimalityCommand:
         assert err.count("\n") == 1  # one line, no traceback
         assert str(out) in err
         assert out.read_text() == ""
+        assert built == []  # refused before any witness is built
+
+    def test_budget_past_a_member_window(self, capsys):
+        # the 500th h4-runs member is 67,133,447 > 2^26: a member window
+        # grown by fours from 64 to hold it would pass DEFAULT_WINDOW_LIMIT
+        assert main(["minimality", "--preset", "h4-runs", "--budget", "500",
+                     "--witnesses", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] \
+            == "summary: 2000/2000 certified; theorem1 precheck pass"
+
+    def test_certificates_are_not_held(self):
+        # each member's certificates are printed and dropped before the
+        # next member's are built; holding all 8000 took 19.5 MB
+        with open(os.devnull, "w") as sink, \
+                contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["minimality", "--preset", "binary-h2",
+                             "--budget", "2000", "--witnesses", "4"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 5_000_000
+
+    def test_members_print_before_a_later_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the third member's witnesses fail to build: the first two
+        # members' lines and files are already out
+        real = gadic.verifier._witnesses
+
+        def third_fails(spec, t, a, *args):
+            if a == 3:
+                raise RuntimeError("witness construction bug: injected")
+            return real(spec, t, a, *args)
+        monkeypatch.setattr(gadic.verifier, "_witnesses", third_fails)
+        assert main(["minimality", "--budget", "5", "--witnesses", "2",
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert [line.split()[0] for line in captured.out.splitlines()] \
+            == ["a=1", "a=1", "a=2", "a=2"]
+        assert len(list(tmp_path.iterdir())) == 4
+        assert captured.err == "error: witness construction bug: injected\n"
 
     def test_t_below_threshold_exits_3(self):
         assert main(["minimality", "--t", "1"]) == 3

@@ -273,18 +273,32 @@ class TestValueType:
         seq = GadicSequence(period, prefix)
         period.append(5)
         prefix[0] = 7
-        assert (seq.period, seq.prefix) == ([2, 3], [4])
+        assert (seq.period, seq.prefix) == ((2, 3), (4,))
         assert seq.value(3) == 24
         assert GadicSequence((2, 3), (4,)) == seq
 
     def test_missing_prefix_is_empty_list(self):
-        assert GadicSequence([2]).prefix == []
-        assert GadicSequence([2], None).prefix == []
+        assert GadicSequence([2]).prefix == ()
+        assert GadicSequence([2], None).prefix == ()
         assert GadicSequence([2], []) == GadicSequence([2])
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(GadicSequence([2]))
+
+    def test_fields_cannot_change_after_use(self):
+        # every table is cached on first use: an edited period would leave
+        # value(5) at 32 while quotient(5) read 3
+        seq = GadicSequence([2])
+        assert seq.value(10) == 1024
+        with pytest.raises(TypeError):
+            seq.period[0] = 3
+        with pytest.raises(AttributeError):
+            seq.period = [3]
+        with pytest.raises(AttributeError):
+            seq.prefix = [3]
+        assert (seq.value(5), seq.quotient(5)) == (32, 2)
+        assert seq.serialize() == "prefix=[];period=[2]"
 
     def test_repr_ignores_grown_tables(self):
         seq = GadicSequence([2, 3], prefix=[4])

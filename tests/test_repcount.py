@@ -2,7 +2,9 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from functools import lru_cache
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,8 @@ from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
                    load_preset, min_t, verify_minimality,
                    WindowTooLargeError)
 from gadic import cli, repcount
-from gadic.basis import DEFAULT_WINDOW_LIMIT, _add_members, _low_bits
-from gadic.repcount import hfold_sumset_window, sumset_gaps
+from gadic.basis import DEFAULT_WINDOW_LIMIT, _add_members
+from gadic.repcount import _low_bits, hfold_sumset_window, sumset_gaps
 from gadic.verifier import random_alternate_decomposition
 from oracles import count_reps_bruteforce, window_counts
 from test_basis import members_by_classify
@@ -874,6 +876,42 @@ class TestAddMembers:
         for X in (1, 0b1011):
             assert _add_members(binary_pairs, X, 300, a) \
                 == _add_members(binary_pairs, X, 300)
+
+
+def walk_to(spec: BasisSpec, N: int) -> list[int]:
+    """The member walk's members up to N."""
+    return list(takewhile(lambda m: m <= N, spec._walk()))
+
+
+class TestMemberWalk:
+    """The ordered member walk against the kernel's member mask."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets(self, name):
+        spec = load_preset(name).basis
+        for N in (1, 2, 4097, 131072):
+            assert walk_to(spec, N) == _low_bits(_add_members(spec, 1, N))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=configurations(quotients=WIDE_QUOTIENTS))
+    def test_configurations(self, spec):
+        for N in [1] + TestAddMembers.windows(spec) + [20000]:
+            assert walk_to(spec, N) == _low_bits(_add_members(spec, 1, N))
+
+    def test_first_members_leave_a_level_unbuilt(self):
+        # on [1000] colored [0, 1], index 2 alone has 999 * 1000 members,
+        # tens of MB as a list; the first 3000 stop early inside it
+        spec = BasisSpec(seq=GadicSequence(period=[1000]),
+                         partition=PartitionSpec(h=2, period_colors=[0, 1]))
+        tracemalloc.start()
+        try:
+            first = list(islice(spec._walk(), 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == _low_bits(_add_members(spec, 1, first[-1]))
+        assert 10**6 < first[-1] < 10**9  # inside index 2
+        assert peak < 1 << 20
 
 
 class TestPrefixInequality:
