@@ -8,12 +8,10 @@ from .core import DigitRep, DigitRangeError, DomainError, GadicSequence
 from .partition import (HypothesisViolatedError, IntervalFamilies,
                         PartitionSpec, detect_interval_families, min_t)
 from .basis import BasisSpec, MemberWindow, WindowTooLargeError
-from .repcount import (RepCountResult, check_prefix_inequality,
-                       count_reps_digitdp)
+from .repcount import RepCountResult, count_reps_digitdp
 from .verifier import (BasisReport, MinimalityBatch, WitnessCertificate,
-                       check_lemma1, check_lemma2, construct_witness,
-                       removability_scan, verify_minimality, verify_theorem1,
-                       verify_theorem2, verify_witness)
+                       construct_witness, removability_scan, verify_minimality,
+                       verify_theorem1, verify_theorem2, verify_witness)
 from .config import PRESETS, ConfigError, RunConfig, load_preset
 
 __all__ = [
@@ -21,9 +19,7 @@ __all__ = [
     "DomainError", "GadicSequence", "HypothesisViolatedError",
     "IntervalFamilies", "MemberWindow", "MinimalityBatch", "PartitionSpec",
     "PRESETS", "RepCountResult", "RunConfig", "WindowTooLargeError",
-    "WitnessCertificate", "check_lemma1", "check_lemma2",
-    "check_prefix_inequality", "construct_witness", "count_reps_digitdp",
-    "detect_interval_families",
-    "load_preset", "min_t", "removability_scan", "verify_minimality",
-    "verify_theorem1", "verify_theorem2", "verify_witness",
+    "WitnessCertificate", "construct_witness", "count_reps_digitdp",
+    "detect_interval_families", "load_preset", "min_t", "removability_scan",
+    "verify_minimality", "verify_theorem1", "verify_theorem2", "verify_witness",
 ]

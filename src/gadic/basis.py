@@ -58,13 +58,10 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
     # the shared scale table: N <= 2^27 < g_K, so it holds g_{top+1}
     g = seq._table(top + 1)[0]
     clip = (1 << (N + 1)) - 1
-    # the indices of a's nonzero digits
-    support = [j for j in range(top + 1) if a % g[j + 1] >= g[j]] if a <= N else []
-    classes = {colors[j] for j in support}
-    i0 = classes.pop() if len(classes) == 1 else None
-    M0 = support[-1] if i0 is not None else -1
+    rep, i0 = spec._rep_and_class(a) if a <= N else (None, None)
+    M0 = rep.max_index() if i0 is not None else -1
     Y = [X & clip] * spec.h
-    out = 0
+    out = low = 0  # low: a's digits up to the last class-i0 index walked
     for j in range(top + 1):
         c, d, gj = colors[j], quots[j], g[j]
         y = Y[c]
@@ -81,8 +78,9 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
         if c != i0 or j != M0:
             out |= part
         if c == i0 and j <= M0:
-            above = a - a % g[j + 1]  # a's digits above j
-            own = a // gj % d
+            own = rep.digits.get(j, 0)
+            low += own * gj
+            above = a - low  # a's digits above j
             for x in range(0 if j < M0 else 1, d):
                 if above + x * gj > N:
                     break

@@ -15,9 +15,8 @@ from .core import DomainError
 from .basis import WindowTooLargeError
 from .partition import HypothesisViolatedError
 from .config import ConfigError, PRESETS, RunConfig, load_preset
-from .verifier import (_OVERRIDE_HINT, _minimality, check_lemma1,
-                       check_lemma2, removability_scan, verify_minimality,
-                       verify_theorem1, verify_theorem2)
+from .verifier import (_minimality, removability_scan, verify_theorem1,
+                       verify_theorem2)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -57,9 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", required=True, type=_int_arg)
 
     sp = sub.add_parser("check", parents=[common], help="run one verification suite")
-    sp.add_argument("which", choices=["theorem1", "theorem2", "lemma1", "lemma2"])
+    sp.add_argument("which", choices=["theorem1", "theorem2"])
     sp.add_argument("--window", type=int)
-    sp.add_argument("--samples", type=int)
 
     sp = sub.add_parser("minimality", parents=[common], help="emit witness certificates")
     sp.add_argument("--t", type=int)
@@ -72,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("explore", parents=[common], help="window evidence for open problems")
     sp.add_argument("--window", type=int)
     sp.add_argument("--elem-bound", type=int)
-    sp.add_argument("--sweep-t", type=str,
-                    help="comma-separated t values to sweep minimality over")
 
     return p
 
@@ -103,22 +99,13 @@ def cmd_check(cfg: RunConfig, args) -> int:
               f"-> {'pass' if report.passed else 'FAIL'} "
               f"({report.elapsed:.2f}s)")
         return EXIT_OK if report.passed else EXIT_FAIL
-    if args.which == "theorem2":
-        with_zero, without = verify_theorem2(cfg.basis, N)
-        ok = with_zero.passed and without.passed
-        print(f"theorem2 with 0 adjoined: full cover of [0,{N}] "
-              f"-> {'pass' if with_zero.passed else 'FAIL'}")
-        print(f"theorem2 after removing 0: gaps {without.gaps[:10]} "
-              f"-> {'pass' if without.passed else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_FAIL
-    check = check_lemma1 if args.which == "lemma1" else check_lemma2
-    kwargs = {} if args.samples is None else {"samples": args.samples}
-    passed, counterexample = check(cfg.seq, **kwargs)
-    if passed:
-        print(f"{args.which}: pass")
-        return EXIT_OK
-    print(f"{args.which}: FAIL ({counterexample})")
-    return EXIT_FAIL
+    with_zero, without = verify_theorem2(cfg.basis, N)
+    ok = with_zero.passed and without.passed
+    print(f"theorem2 with 0 adjoined: full cover of [0,{N}] "
+          f"-> {'pass' if with_zero.passed else 'FAIL'}")
+    print(f"theorem2 after removing 0: gaps {without.gaps[:10]} "
+          f"-> {'pass' if without.passed else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_minimality(cfg: RunConfig, args) -> int:
@@ -146,29 +133,6 @@ def cmd_minimality(cfg: RunConfig, args) -> int:
 
 
 def cmd_explore(cfg: RunConfig, args) -> int:
-    if args.sweep_t is not None:
-        # the whole list is checked before the first row is printed
-        try:
-            ts = [int(x) for x in args.sweep_t.split(",")]
-        except ValueError:
-            raise ValueError("--sweep-t expects comma-separated integers, "
-                             f"got {args.sweep_t!r}") from None
-        for t in ts:
-            if t < 1:
-                raise DomainError(f"--sweep-t values must be >= 1, got t={t}")
-        code = EXIT_OK
-        for t in ts:
-            try:
-                batch = verify_minimality(cfg.basis, t=t, K=min(cfg.budget, 5), W=1)
-            except HypothesisViolatedError as exc:
-                # explore has no --override, so the gate's hint is dropped
-                print(f"t={t}: hypothesis violated: "
-                      f"{str(exc).removesuffix(_OVERRIDE_HINT)}")
-                continue
-            if not batch.passed:
-                code = EXIT_FAIL
-            print(f"t={t}: {'all certified' if batch.passed else 'certification failed'}")
-        return code
     rows = removability_scan(cfg.basis, cfg.window, elem_bound=args.elem_bound)
     print(f"removability scan, 0-adjoined set, window [0,{cfg.window}] "
           "(evidence only, not proof):")

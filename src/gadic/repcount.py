@@ -142,7 +142,12 @@ def _advance(set_id: int, d: int, c: int, r: int) -> _Step:
     with one sum per target over its edges, each the source's ways times
     the edge's multiplicity.  A source has at most one edge to a target:
     its moves to one status tuple differ in digit sum, hence in carry.
-    The text holds only integers and is evaluated with no builtins."""
+    The text holds only integers and is evaluated with no builtins.  A
+    segment read r >= d means some digit of n is out of range: refused
+    here, on the memo miss, so a warm step pays nothing for the check."""
+    if r >= d:
+        raise DigitRangeError(f"digits of n read {r} on a class-{c} segment "
+                              f"of radix {d}: some digit is out of range")
     terms: dict[tuple[int, tuple[int, ...]], list[str]] = {}
     for s, (carry, statuses) in enumerate(_SETS[set_id]):
         for sts, tot, mult in _transitions(d, c, statuses)[(r - carry) % d]:
@@ -252,6 +257,12 @@ def count_reps_digitdp(spec: BasisSpec, n: DigitRep, h: int,
     no carry is left.  Accepts carry 0 out of the top digit of n and,
     unless zero_allowed, every summand committed.  peak_states is the
     most live states after any step.
+
+    A digit of n at or above its position's quotient either raises
+    DigitRangeError or leaves the count exact for the value sum x_j g_j:
+    a segment's digits are read as one value, which is refused when it
+    reaches the segment's radix, so a too-large digit at its top raises
+    and one below carries into the segment's next position.
     """
     if h < 2:
         raise DomainError(f"need h >= 2, got {h}")

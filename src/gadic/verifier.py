@@ -119,9 +119,6 @@ def verify_theorem2(spec: BasisSpec, N: int) -> tuple[BasisReport, BasisReport]:
             _window_report(hA, N, list(range(spec.h)), t0))
 
 
-_OVERRIDE_HINT = " (pass override to force)"  # ends the threshold message
-
-
 def _interval_families(spec: BasisSpec, t: int,
                        override: bool) -> IntervalFamilies:
     """The interval families of the minimality construction, once its
@@ -131,7 +128,8 @@ def _interval_families(spec: BasisSpec, t: int,
     h = spec.h
     if t < min_t(h) and not override:
         raise HypothesisViolatedError(
-            f"t={t} below threshold {min_t(h)} for h={h}{_OVERRIDE_HINT}")
+            f"t={t} below threshold {min_t(h)} for h={h} "
+            "(pass override to force)")
     for i in range(h):
         if not fams.is_infinite(i):
             raise HypothesisViolatedError(

@@ -8,9 +8,10 @@ import time
 import pytest
 
 from gadic import (PRESETS, BasisSpec, GadicSequence, PartitionSpec,
-                   check_prefix_inequality, count_reps_digitdp,
-                   construct_witness, load_preset, min_t, verify_minimality,
-                   verify_theorem1, verify_theorem2, verify_witness)
+                   count_reps_digitdp, construct_witness, load_preset, min_t,
+                   verify_minimality, verify_theorem1, verify_theorem2,
+                   verify_witness)
+from gadic.repcount import check_prefix_inequality
 from gadic.verifier import random_alternate_decomposition
 from oracles import count_reps_bruteforce, cross_check_witness
 

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib
 import os
 import pickle
 import re
@@ -144,10 +145,6 @@ class TestCheckCommand:
     def test_theorem2_pass(self):
         assert main(["check", "theorem2", "--window", "1000"]) == 0
 
-    def test_lemma_suites(self):
-        assert main(["check", "lemma1", "--samples", "2000"]) == 0
-        assert main(["check", "lemma2", "--samples", "500"]) == 0
-
     @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
     def test_zero_window_exits_2(self, which, capsys):
         # an explicit 0 is not replaced by the configured window
@@ -169,14 +166,6 @@ class TestCheckCommand:
         assert main(["check", which, "--config", str(cfg)]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message
-
-    @pytest.mark.parametrize("which", ["lemma1", "lemma2"])
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_nonpositive_samples_exit_2(self, which, samples, capsys):
-        assert main(["check", which, "--samples", samples]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: need samples >= 1, got {samples}\n"
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -331,8 +320,21 @@ class TestMinimalityCommand:
         assert len(list(tmp_path.iterdir())) == 4
         assert captured.err == "error: witness construction bug: injected\n"
 
-    def test_t_below_threshold_exits_3(self):
+    def test_t_below_threshold_exits_3(self, capsys):
         assert main(["minimality", "--t", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hypothesis violated: t=1 below threshold 2 "
+                                "for h=2 (pass override to force)\n")
+
+    def test_no_periodic_window_exits_3(self, capsys):
+        # binary-h2 colors [0,0,1,1]: no class has a run of three
+        assert main(["minimality", "--t", "3", "--budget", "5",
+                     "--witnesses", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hypothesis violated: class 0 has no periodic "
+                                "t-window (empty interval family)\n")
 
     @pytest.mark.parametrize("flags", [[], ["--override"]])
     def test_t_zero_exits_2(self, flags, capsys):
@@ -357,6 +359,14 @@ class TestMinimalityCommand:
     def test_mixed23_preset(self):
         assert main(["minimality", "--preset", "mixed23-h2",
                      "--budget", "3", "--witnesses", "1"]) == 0
+
+    def test_certification_failure_exits_1(self, skew_dp_count, capsys):
+        # a count above the expected one is a failed witness, not an error
+        skew_dp_count(+1)
+        assert main(["minimality", "--budget", "1", "--witnesses", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(" count=3/2 failed")
+        assert lines[1:] == ["summary: 0/1 certified; theorem1 precheck pass"]
 
     def test_counting_engine_bug_exits_1(self, skew_dp_count, capsys):
         skew_dp_count(-1)
@@ -447,41 +457,35 @@ class TestExploreCommand:
         assert main(["explore", "--window", "300", "--elem-bound", "0"]) == 0
         assert capsys.readouterr().out.count("  remove ") == 1
 
-    def test_sweep_t(self, capsys):
-        assert main(["explore", "--sweep-t", "1,2,3"]) == 0
-        out = capsys.readouterr().out
-        assert "t=3: hypothesis violated" in out
-
-    def test_sweep_t_zero_exits_2(self):
-        assert main(["explore", "--sweep-t", "0"]) == 2
-
-    @pytest.mark.parametrize("values,message", [
-        ("", "expects comma-separated integers, got ''"),
-        ("2,,3", "expects comma-separated integers, got '2,,3'"),
-        ("2,x", "expects comma-separated integers, got '2,x'"),
-        ("2,0", "values must be >= 1, got t=0"),
-    ])
-    def test_sweep_t_list_checked_before_any_row(self, values, message,
-                                                 capsys):
-        assert main(["explore", "--sweep-t", values]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --sweep-t {message}\n"
-
-    def test_sweep_t_certification_failure_exits_1(self, skew_dp_count, capsys):
-        skew_dp_count(+1)
-        assert main(["explore", "--sweep-t", "1,2"]) == 1
-        out = capsys.readouterr().out
-        assert "t=1: hypothesis violated: t=1 below threshold 2 for h=2\n" in out
-        assert "override" not in out
-        assert "t=2: certification failed" in out
-
 
 def test_bench_command_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench"])
     assert exc.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "lemma1"], "invalid choice: 'lemma1'"),
+    (["check", "lemma2", "--samples", "5"], "invalid choice: 'lemma2'"),
+    (["explore", "--sweep-t", "1,2"], "unrecognized arguments: --sweep-t 1,2"),
+], ids=["lemma1", "lemma2", "sweep-t"])
+def test_sampled_and_duplicate_paths_removed(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_console_script_is_main():
+    """pyproject's `gadic` script names gadic.cli.main; read from its line,
+    since Python 3.10 has no tomllib."""
+    text = (README.parent / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, attr = re.fullmatch(r'gadic = "([\w.]+):(\w+)"',
+                                scripts.strip()).groups()
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def readme_cli_block() -> list[str]:

@@ -457,7 +457,7 @@ def test_digit_loops_make_no_quotient_calls(monkeypatch):
     """represent never calls quotient; leading_index, value, evaluate,
     check_prefix_inequality and random_alternate_decomposition make no call
     once the scale table is warm, past its cap too."""
-    from gadic import check_prefix_inequality
+    from gadic.repcount import check_prefix_inequality
     from gadic.verifier import random_alternate_decomposition
     seq = GadicSequence(prefix=[3, 7], period=[2, 5, 2])
     n = random.Random(4).getrandbits(4096) | (1 << 4095)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gadic import (PRESETS, BasisSpec, DigitRangeError, DigitRep, DomainError,
-                   GadicSequence, PartitionSpec, check_prefix_inequality,
-                   RepCountResult, construct_witness, count_reps_digitdp,
-                   load_preset, min_t, verify_minimality,
-                   WindowTooLargeError)
+                   GadicSequence, PartitionSpec, RepCountResult,
+                   construct_witness, count_reps_digitdp, load_preset, min_t,
+                   verify_minimality, WindowTooLargeError)
 from gadic import cli, repcount
 from gadic.basis import DEFAULT_WINDOW_LIMIT, _add_members
-from gadic.repcount import _low_bits, hfold_sumset_window, sumset_gaps
+from gadic.repcount import (_low_bits, check_prefix_inequality,
+                            hfold_sumset_window, sumset_gaps)
 from gadic.verifier import random_alternate_decomposition
 from oracles import count_reps_bruteforce, window_counts
 from test_basis import members_by_classify
@@ -227,6 +227,33 @@ class TestDigitDP:
     def test_one_below_order(self, binary_pairs):
         rep = binary_pairs.seq.represent(1)
         assert count_reps_digitdp(binary_pairs, rep, 2).ordered_count == 0
+
+    @pytest.mark.parametrize("digits", [{1: 5}, {0: 3}])
+    def test_out_of_range_digit_raises(self, digits):
+        # on binary-h2 these counted 1 and 0, though r_2(10) = 2
+        spec = load_preset("binary-h2").basis
+        with pytest.raises(DigitRangeError):
+            count_reps_digitdp(spec, DigitRep(digits), 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spec=configurations(), data=st.data())
+    def test_digits_up_to_the_quotient_raise_or_count_their_value(self, spec,
+                                                                  data):
+        """A digit x_j <= d_{j+1}: either DigitRangeError, only when some
+        digit is out of range, or the count of sum x_j g_j."""
+        seq = spec.seq
+        indices = data.draw(st.sets(st.integers(0, 11), min_size=1,
+                                    max_size=6), label="indices")
+        digits = {j: data.draw(st.integers(1, seq.quotient(j + 1)))
+                  for j in sorted(indices)}
+        value = sum(x * seq.value(j) for j, x in digits.items())
+        expected = count_reps_digitdp(spec, seq.represent(value), spec.h)
+        try:
+            count = count_reps_digitdp(spec, DigitRep(digits), spec.h)
+        except DigitRangeError:
+            assert any(x == seq.quotient(j + 1) for j, x in digits.items())
+            return
+        assert count.ordered_count == expected.ordered_count
 
     def test_huge_argument_runs(self, binary_pairs):
         rep = binary_pairs.seq.represent((1 << 300) + 7)

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,6 +14,8 @@ from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
                    verify_minimality, verify_theorem1, verify_theorem2,
                    verify_witness)
 from gadic.repcount import hfold_sumset_window, sumset_gaps
+from gadic.verifier import (check_lemma1, check_lemma2,
+                            random_alternate_decomposition)
 from oracles import count_reps_bruteforce, cross_check_witness
 from test_repcount import classify_window, configurations
 
@@ -532,6 +537,50 @@ class TestThresholdGuard:
         with pytest.raises(HypothesisViolatedError,
                            match=message + r"\(pass override to force\)$"):
             verify_minimality(load_preset(name).basis, t=t, K=K, W=1)
+
+
+class TestLemmaSuites:
+    """The sampled suites for Lemmas 1 and 2, called directly."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_pass(self, name):
+        seq = load_preset(name).seq
+        assert check_lemma1(seq, samples=400, rng=random.Random(5)) \
+            == (True, None)
+        assert check_lemma2(seq, samples=200, rng=random.Random(6)) \
+            == (True, None)
+
+    @pytest.mark.parametrize("check", [check_lemma1, check_lemma2])
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_nonpositive_samples_rejected(self, check, samples, binary):
+        with pytest.raises(DomainError,
+                           match=rf"^need samples >= 1, got {samples}$"):
+            check(binary, samples=samples)
+
+    # samples=10 reads n = 1..5 and five 256-bit n before the converse
+    # scan, which reads every n in [g_M, g_{M+1}) on binary up to M = 7
+    @pytest.mark.parametrize("bad, message", [
+        (3, "n=3: M=2 but bounds fail"),
+        (100, "n=100 in [g_6, g_7) but leading_index != 6"),
+    ])
+    def test_lemma1_reports_a_wrong_leading_index(self, bad, message,
+                                                  binary, monkeypatch):
+        real = GadicSequence.leading_index
+        monkeypatch.setattr(GadicSequence, "leading_index",
+                            lambda seq, n: real(seq, n) + (n == bad))
+        assert check_lemma1(binary, samples=10) == (False, message)
+
+    def test_lemma2_reports_a_failing_cutoff(self, binary, monkeypatch):
+        real = gadic.verifier.check_prefix_inequality
+        monkeypatch.setattr(
+            gadic.verifier, "check_prefix_inequality",
+            lambda *args: dataclasses.replace(real(*args), holds=[False]))
+        # the first pair of the default seed
+        rng = random.Random(1)
+        n = rng.randrange(1, 10 ** 9)
+        alt = random_alternate_decomposition(binary, binary.represent(n), rng)
+        assert check_lemma2(binary, samples=10) == (
+            False, f"n={n}, alt={alt}: inequality fails at some cutoff")
 
 
 class TestRemovabilityScan:
