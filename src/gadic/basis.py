@@ -52,18 +52,16 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
     (WindowTooLargeError) before any bit array is built.
     """
     _check_window(N)
-    seq = spec.seq
-    top = seq.leading_index(N)
+    top = spec.seq.leading_index(N)
     quots, colors = spec._positions(top + 1)
-    # the shared scale table: N <= 2^27 < g_K, so it holds g_{top+1}
-    g = seq._table(top + 1)[0]
     clip = (1 << (N + 1)) - 1
     rep, i0 = spec._rep_and_class(a) if a <= N else (None, None)
     M0 = rep.max_index() if i0 is not None else -1
     Y = [X & clip] * spec.h
     out = low = 0  # low: a's digits up to the last class-i0 index walked
+    gj = 1  # g_j, multiplied up as j runs
     for j in range(top + 1):
-        c, d, gj = colors[j], quots[j], g[j]
+        c, d = colors[j], quots[j]
         y = Y[c]
         # g_j <= N at every index walked (top = leading_index(N)), so the
         # shift by g_j needs no guard; part starts from it, not from 0,
@@ -86,6 +84,7 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
                     break
                 if x != own:
                     out |= y << above + x * gj
+        gj *= d
     return out & clip
 
 

@@ -15,7 +15,7 @@ from .core import DomainError
 from .basis import WindowTooLargeError
 from .partition import HypothesisViolatedError
 from .config import ConfigError, PRESETS, RunConfig, load_preset
-from .verifier import (_minimality, removability_scan, verify_theorem1,
+from .verifier import (removability_scan, verify_minimality, verify_theorem1,
                        verify_theorem2)
 
 EXIT_OK = 0
@@ -110,8 +110,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 def cmd_minimality(cfg: RunConfig, args) -> int:
     spec, out = cfg.basis, args.out
-    theorem1, rounds = _minimality(spec, cfg.t, cfg.budget, cfg.witnesses,
-                                   args.override)
+    theorem1, rounds = verify_minimality(spec, cfg.t, cfg.budget,
+                                         cfg.witnesses, args.override)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     total = certified = 0

@@ -47,19 +47,20 @@ class GadicSequence:
     Every table is derived from (prefix, period), two tuples of a frozen
     instance, and built in one piece on first use, then never changed, so
     threads share them with no lock: threads racing on a first build
-    compute equal tables.  `_span`
-    is (reps, Q, w): the cycle repeats the period `reps` times, as many as
-    fit in one run ([2] -> 2^8, [2, 3] -> 6^3), and the leaf radix Q, the
-    smallest power of the cycle radix with more than _LEAF_BITS bits,
-    spans w positions.  The scale table holds g_0..g_K in `_cache` and
-    d_1..d_K in `_quot` (`_quot[j]` is d_{j+1}, the radix of digit j),
-    K = L + w with L the prefix length, so g_K = g_L * Q and
-    g_{L+kw+o} = g_{L+o} * Q^k gives every index past it: memory stays
-    linear in the bits of n.  Only core reads these; other modules ask
-    `_table`.  `_runs` holds the prefix runs and the cycle runs of the
-    quotient stream (see `_cut_runs`), the bound g_L * Q below which
-    `represent` reads n with no split, and g_L; `represent` never builds
-    the scale table.
+    compute equal tables.  `_span` is (reps, Q, w): the cycle repeats the
+    period `reps` times, as many as fit in one run ([2] -> 2^8, [2, 3] ->
+    6^3), and the leaf radix Q, the smallest power of the cycle radix with
+    more than _LEAF_BITS bits, spans w positions.  The scale table holds
+    g_0..g_K in `_cache` and d_1..d_K in `_quot` (`_quot[j]` is d_{j+1},
+    the radix of digit j), K = L + w with L the prefix length, so
+    g_K = g_L * Q and g_{L+kw+o} = g_{L+o} * Q^k gives every index past
+    it: memory stays linear in the bits of n.  Only core reads these; the
+    lemma helpers (`repcount.check_prefix_inequality`,
+    `verifier.random_alternate_decomposition`) are the last readers of
+    `_table` outside core, and the two go together.  `_runs` holds the
+    prefix runs and the cycle runs of the quotient stream (see
+    `_cut_runs`), the bound g_L * Q below which `represent` reads n with
+    no split, and g_L; `represent` never builds the scale table.
     """
 
     period: tuple[int, ...]

@@ -11,7 +11,7 @@ import hashlib
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .core import DigitRep, DomainError
@@ -233,14 +233,16 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     route, `_count_without`, counts the representations that avoid a; it
     must find none for a certified witness, and no more than those left
     once the expected ones through a are taken out, or this raises.  A
-    multiset that is not h members summing to n, or a removed value that
-    is not a member, fails with no expected count, whatever the counts.
+    multiset that is not h members summing to n, a removed value that is
+    not a member, or a field `_fields_follow` rejects fails with no
+    expected count, whatever the counts.
     """
     n = spec.seq.evaluate(cert.n_rep)
     measured = count_reps_digitdp(spec, cert.n_rep, spec.h).ordered_count
     if (len(cert.multiset) != spec.h or sum(cert.multiset) != n
             or not all(v >= 1 and spec.classify(v) is not None
-                       for v in (cert.removed, *cert.multiset))):
+                       for v in (cert.removed, *cert.multiset))
+            or not _fields_follow(spec, cert, n)):
         cert.expected_count, cert.measured_count = None, measured
         cert.verdict = "failed"
         return cert
@@ -253,6 +255,21 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
             f"{cert.removed}, but {cert.measured_count} in all and "
             f"{through_a} through {cert.removed}")
     return cert
+
+
+def _fields_follow(spec: BasisSpec, cert: WitnessCertificate, n: int) -> bool:
+    """Whether cert's printed fields follow from its member `removed`, its
+    n's digits (value n), its summands and spec: n, the config hash, the
+    removed value's digits, class and top index M0, the sorted summand
+    values as the multiset, and each M[i] as its summand's top index."""
+    rep, i0 = spec._rep_and_class(cert.removed)
+    # the summand values before the M[i]: an empty summand has no top index
+    return (cert.n_value == n and cert.spec_hash == spec_hash(spec, cert.t)
+            and (cert.removed_rep, cert.removed_class, cert.M0, cert.multiset)
+            == (rep, i0, rep.max_index(),
+                sorted(map(spec.seq.evaluate, cert.summands.values())))
+            and cert.chosen_Ms == {i: s.max_index() for i, s
+                                   in cert.summands.items() if i != i0})
 
 
 def _count_without(spec: BasisSpec, n: int, a: int) -> int:
@@ -293,32 +310,14 @@ def _settle(cert: WitnessCertificate, h: int,
     return cert
 
 
-@dataclass
-class MinimalityBatch:
-    theorem1: BasisReport
-    certificates: list[WitnessCertificate] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return (self.theorem1.passed and bool(self.certificates)
-                and all(c.verdict == "certified" for c in self.certificates))
-
-
 def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
-                      override: bool = False) -> MinimalityBatch:
+                      override: bool = False):
     """Certify the first K members with W witnesses each (see
-    construct_witness for how the W witnesses of a member are chosen):
-    `_minimality`'s rounds collected into one batch."""
-    report1, rounds = _minimality(spec, t, K, W, override)
-    return MinimalityBatch(theorem1=report1,
-                           certificates=[c for certs in rounds for c in certs])
-
-
-def _minimality(spec: BasisSpec, t: int, K: int, W: int, override: bool):
-    """(Theorem 1 precheck report, rounds): `rounds` is a generator that
-    yields the W settled certificates of each of the first K members in
-    turn, so a caller can print or write a member's certificates before the
-    next member's are built.
+    construct_witness for how a member's W witnesses are chosen).  Returns
+    (Theorem 1 precheck report, rounds): `rounds` is a generator that
+    yields the W settled certificates of each member in turn, so a caller
+    can print or write a member's certificates before the next member's
+    are built.
 
     Once per batch, before this returns: the hypothesis gate, the K and W
     check, the Theorem 1 precheck and the config hash.  The members come

@@ -1,16 +1,27 @@
-"""Slow window oracles the tests check the library against.
+"""Slow window oracles the tests check the library against, and
+`run_minimality`, which runs every round of verify_minimality.
 
-They enumerate members inside a finite window and count ordered tuples
-exhaustively, so they share nothing with the digit DP but the member
-window itself.
+The oracles enumerate members inside a finite window and count ordered
+tuples exhaustively, so they share nothing with the digit DP but the
+member window itself.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
 
-from gadic import BasisSpec, DomainError, MemberWindow, WitnessCertificate
+from gadic import (BasisReport, BasisSpec, DomainError, MemberWindow,
+                   WitnessCertificate, verify_minimality)
 from gadic.repcount import RepCountResult
+
+
+def run_minimality(spec: BasisSpec, t: int, K: int, W: int,
+                   override: bool = False
+                   ) -> tuple[BasisReport, list[WitnessCertificate]]:
+    """verify_minimality's Theorem 1 precheck report and the certificates
+    of all its rounds, in order."""
+    report, rounds = verify_minimality(spec, t, K, W, override)
+    return report, [cert for certs in rounds for cert in certs]
 
 
 def count_reps_bruteforce(window: MemberWindow, n: int, h: int,

@@ -9,11 +9,10 @@ import pytest
 
 from gadic import (PRESETS, BasisSpec, GadicSequence, PartitionSpec,
                    count_reps_digitdp, construct_witness, load_preset, min_t,
-                   verify_minimality, verify_theorem1, verify_theorem2,
-                   verify_witness)
+                   verify_theorem1, verify_theorem2, verify_witness)
 from gadic.repcount import check_prefix_inequality
 from gadic.verifier import random_alternate_decomposition
-from oracles import count_reps_bruteforce, cross_check_witness
+from oracles import count_reps_bruteforce, cross_check_witness, run_minimality
 
 WINDOW = 5000
 
@@ -117,22 +116,22 @@ def certified_batches():
     for name in ("binary-h2", "h3-runs", "h4-runs"):
         cfg = load_preset(name)
         batches[name] = (cfg.basis,
-                         verify_minimality(cfg.basis, t=cfg.t, K=cfg.budget,
-                                           W=cfg.witnesses))
+                         *run_minimality(cfg.basis, t=cfg.t, K=cfg.budget,
+                                         W=cfg.witnesses))
     return batches
 
 
 def test_criterion_6_theorem3_certification(certified_batches):
     t0 = time.perf_counter()
-    spec, batch = certified_batches["binary-h2"]
-    assert len(batch.certificates) == 60
-    assert all(c.verdict == "certified" for c in batch.certificates)
-    hand = {(c.removed, c.n_value) for c in batch.certificates}
+    spec, report, certs = certified_batches["binary-h2"]
+    assert len(certs) == 60
+    assert all(c.verdict == "certified" for c in certs)
+    hand = {(c.removed, c.n_value) for c in certs}
     assert (1, 9) in hand and (3, 11) in hand
     for name in ("h3-runs", "h4-runs"):
-        spec, batch = certified_batches[name]
-        assert len(batch.certificates) == 10
-        assert batch.passed
+        spec, report, certs = certified_batches[name]
+        assert len(certs) == 10
+        assert report.passed and all(c.verdict == "certified" for c in certs)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
     _report(6, "60/60 + 10/10 + 10/10 certificates certified, "
@@ -142,8 +141,8 @@ def test_criterion_6_theorem3_certification(certified_batches):
 def test_criterion_7_cross_validation(certified_batches):
     t0 = time.perf_counter()
     checked = 0
-    for name, (spec, batch) in certified_batches.items():
-        small = [c for c in batch.certificates if c.n_value <= 10 ** 6]
+    for name, (spec, _, certs) in certified_batches.items():
+        small = [c for c in certs if c.n_value <= 10 ** 6]
         assert small, name
         window = spec.enumerate(max(c.n_value for c in small))
         for cert in small:
@@ -169,8 +168,10 @@ def test_criterion_9_mixed23_config():
     for i in range(21):
         assert seq.value(2 * i) == 6 ** i
     cfg = load_preset("mixed23-h2")
-    batch = verify_minimality(cfg.basis, t=cfg.t, K=cfg.budget, W=cfg.witnesses)
-    assert len(batch.certificates) == 60 and batch.passed
+    report, certs = run_minimality(cfg.basis, t=cfg.t, K=cfg.budget,
+                                   W=cfg.witnesses)
+    assert len(certs) == 60 and report.passed
+    assert all(c.verdict == "certified" for c in certs)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30
     _report(9, f"even-index scale values are powers of 6; 60/60 certified, "
@@ -190,8 +191,7 @@ GOLDEN_CERTIFICATES = {
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_certificates_match_golden_digest(name):
     cfg = load_preset(name)
-    batch = verify_minimality(cfg.basis, cfg.t, cfg.budget, cfg.witnesses)
-    text = "".join(c.filename() + "\n" + c.render(cfg.basis)
-                   for c in batch.certificates)
+    _, certs = run_minimality(cfg.basis, cfg.t, cfg.budget, cfg.witnesses)
+    text = "".join(c.filename() + "\n" + c.render(cfg.basis) for c in certs)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
         GOLDEN_CERTIFICATES[name]

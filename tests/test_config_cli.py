@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import hashlib
@@ -486,6 +487,22 @@ def test_console_script_is_main():
     module, attr = re.fullmatch(r'gadic = "([\w.]+):(\w+)"',
                                 scripts.strip()).groups()
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_cli_imports_only_public_names():
+    """Every gadic name cli.py imports is in gadic.__all__, so every
+    command runs through a public entry point."""
+    tree = ast.parse((README.parent / "src" / "gadic" / "cli.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "gadic"):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "gadic"]
+    assert "verify_minimality" in names
+    assert sorted(set(names) - set(gadic.__all__)) == []
 
 
 def readme_cli_block() -> list[str]:

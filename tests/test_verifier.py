@@ -8,7 +8,7 @@ import gadic.basis
 import gadic.repcount
 import gadic.verifier
 from gadic import cli
-from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
+from gadic import (PRESETS, BasisSpec, DigitRep, DomainError, GadicSequence,
                    HypothesisViolatedError, PartitionSpec, construct_witness,
                    count_reps_digitdp, load_preset, min_t, removability_scan,
                    verify_minimality, verify_theorem1, verify_theorem2,
@@ -16,7 +16,7 @@ from gadic import (PRESETS, BasisSpec, DomainError, GadicSequence,
 from gadic.repcount import hfold_sumset_window, sumset_gaps
 from gadic.verifier import (check_lemma1, check_lemma2,
                             random_alternate_decomposition)
-from oracles import count_reps_bruteforce, cross_check_witness
+from oracles import count_reps_bruteforce, cross_check_witness, run_minimality
 from test_repcount import classify_window, configurations
 
 
@@ -274,6 +274,29 @@ class TestVerifyWitness:
         assert cert.verdict == "failed"
         assert (cert.expected_count, cert.measured_count) == (None, 2)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_value", 40),
+        ("spec_hash", "0" * 16),
+        ("t", 3),             # the config hash is of t = 2
+        ("removed_rep", DigitRep({3: 1})),
+        ("removed_class", 0),
+        ("M0", 3),
+        ("chosen_Ms", {0: 6}),
+        # 34 = g_1 + g_5 keeps M[0] = 5 but leaves the multiset [4, 35]
+        ("summands", {1: DigitRep({2: 1}), 0: DigitRep({1: 1, 5: 1})}),
+        ("summands", {1: DigitRep({2: 1}), 0: DigitRep()}),  # a summand 0
+    ])
+    def test_fields_that_disagree_with_the_digits_fail(self, field, value):
+        # binary-h2's witness for a = 4: n = 39 = 4 + 35, summand 35 with
+        # top index M[0] = 5
+        spec = load_preset("binary-h2").basis
+        cert = construct_witness(spec, 2, 4)[0]
+        assert verify_witness(spec, dataclasses.replace(cert)).verdict \
+            == "certified"
+        cert = verify_witness(spec, dataclasses.replace(cert, **{field: value}))
+        assert cert.verdict == "failed"
+        assert (cert.expected_count, cert.measured_count) == (None, 2)
+
     def test_expected_count_is_permutation_count(self, binary):
         # witness summands are pairwise distinct, so the expected ordered
         # count is h! exactly
@@ -360,29 +383,32 @@ class TestCountWithout:
 
 
 class TestMinimalityBatch:
+    """verify_minimality, its rounds run to the end (run_minimality); the
+    hypothesis, K and W errors raise at the call itself."""
+
     def test_corollary_preset(self, binary_pairs):
-        batch = verify_minimality(binary_pairs, t=2, K=20, W=3)
-        assert len(batch.certificates) == 60
-        assert batch.passed
+        report, certs = run_minimality(binary_pairs, t=2, K=20, W=3)
+        assert len(certs) == 60
+        assert report.passed and all(c.verdict == "certified" for c in certs)
 
     def test_families_detected_once(self, binary_pairs, monkeypatch):
         real = gadic.verifier.detect_interval_families
         calls = []
         monkeypatch.setattr(gadic.verifier, "detect_interval_families",
                             lambda *args: calls.append(args) or real(*args))
-        batch = verify_minimality(binary_pairs, t=2, K=5, W=2)
+        _, certs = run_minimality(binary_pairs, t=2, K=5, W=2)
         assert len(calls) == 1
         monkeypatch.undo()
         expected = [verify_witness(binary_pairs, c) for a in
-                    sorted({c.removed for c in batch.certificates})
+                    sorted({c.removed for c in certs})
                     for c in construct_witness(binary_pairs, 2, a, 2)]
-        assert [c.render(binary_pairs) for c in batch.certificates] \
+        assert [c.render(binary_pairs) for c in certs] \
             == [c.render(binary_pairs) for c in expected]
 
     def test_distinct_choices_give_increasing_witnesses(self, binary_pairs):
-        batch = verify_minimality(binary_pairs, t=2, K=3, W=4)
+        _, certs = run_minimality(binary_pairs, t=2, K=3, W=4)
         per_member = {}
-        for cert in batch.certificates:
+        for cert in certs:
             per_member.setdefault(cert.removed, []).append(cert.n_value)
         for ns in per_member.values():
             assert ns == sorted(ns) and len(set(ns)) == len(ns)
@@ -441,14 +467,14 @@ class TestSharedPrefix:
         # override
         t = max(1, min_t(spec.h) - below)
         override = t < min_t(spec.h)
-        batch = verify_minimality(spec, t, K, W, override=override)
-        members = sorted({c.removed for c in batch.certificates})
+        _, certs = run_minimality(spec, t, K, W, override=override)
+        members = sorted({c.removed for c in certs})
         expected = [verify_witness(spec, c) for a in members
                     for c in construct_witness(spec, t, a, W, override)]
-        assert len(batch.certificates) == len(members) * W
-        assert [c.render(spec) for c in batch.certificates] \
+        assert len(certs) == len(members) * W
+        assert [c.render(spec) for c in certs] \
             == [c.render(spec) for c in expected]
-        for cert in batch.certificates:
+        for cert in certs:
             assert cert.measured_count == count_reps_digitdp(
                 spec, cert.n_rep, spec.h).ordered_count
 
@@ -463,9 +489,9 @@ class TestSharedPrefix:
             return real(state, quots, colors, digit, lo, hi, h, classes)
 
         monkeypatch.setattr(gadic.verifier, "_dp_steps", recorded)
-        batch = verify_minimality(spec, t, K=6, W=4)
+        _, certs = run_minimality(spec, t, K=6, W=4)
         expected = []
-        for k, cert in enumerate(batch.certificates):
+        for k, cert in enumerate(certs):
             # the prefix state walks on from the last witness's smallest
             # M_i (from 0 for a member's first witness) to this one's
             pos = 0 if k % 4 == 0 else low
@@ -487,7 +513,7 @@ class TestSharedPrefix:
 
         monkeypatch.setattr(gadic.verifier, "_witnesses", tampered)
         with pytest.raises(RuntimeError, match=message) as exc:
-            verify_minimality(cfg.basis, cfg.t, K=K, W=4)
+            run_minimality(cfg.basis, cfg.t, K=K, W=4)
         assert cli.main(["minimality", "--preset", name, "--budget", str(K),
                          "--witnesses", "4"]) == 1
         assert capsys.readouterr().err == f"error: {exc.value}\n"
