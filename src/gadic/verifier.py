@@ -147,78 +147,74 @@ def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
     endpoint of every class, shifted in lockstep across classes; distinct
     endpoints give strictly larger witnesses, exhibiting infinitude on a
     finite budget.  All supports are pairwise disjoint, so the witness
-    digits are the plain union (no carries).
+    digits are the plain union (no carries).  All but a's own digits
+    depend only on a's top index M0 (`_level`).
     """
     fams = _interval_families(spec, t, override)
     if W < 1:
         raise DomainError(f"need W >= 1, got W={W}")
-    return _witnesses(spec, t, a, W, fams, spec_hash(spec, t))[1]
+    return _witnesses(spec, t, a, W, fams, spec_hash(spec, t))[2]
+
+
+def _level(spec: BasisSpec, t: int, M0: int, i0: int, W: int,
+           fams: IntervalFamilies) -> tuple:
+    """The witness parts shared by the class-i0 members with top index M0:
+    (M0, i0, the other classes' maximal digits below M0, per witness its
+    endpoints M_i, other summands, their values and n's 1s at the M_i,
+    the quotients and classes up to the largest M_i)."""
+    gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
+    chosen = [{i: next(gen) for i, gen in gens.items()} for _ in range(W)]
+    quots, colors = spec._positions(max(M for c in chosen for M in c.values()) + 1)
+    maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]
+    base, others = [0] * spec.h, {}
+    gj = 1  # g_j, multiplied up as j runs: no scale table past its cap
+    for j in range(M0):
+        c = colors[j]
+        if c != i0:
+            maximal[c][j] = others[j] = top = quots[j] - 1
+            base[c] += top * gj
+        gj *= quots[j]
+    # ascending: every maximal index is below M0 < M_i
+    witnesses = [(c, {i: DigitRep._trusted({**maximal[i], M: 1}) for i, M in c.items()},
+                  [base[i] + spec.seq.value(M) for i, M in c.items()],
+                  dict.fromkeys(sorted(c.values()), 1)) for c in chosen]
+    return M0, i0, others, witnesses, quots, colors
 
 
 def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
-               fams: IntervalFamilies, key: str
-               ) -> tuple[dict[int, int], list[WitnessCertificate]]:
-    """construct_witness past its checks, on the caller's interval families
-    and config hash.  Once per member: a's digits and class, and the walk
-    over the indices below M0 that builds each other class's maximal
-    digits and their value, merged with a's digits into the digits the W
-    witnesses share below their smallest M_i.  Per witness: its endpoints
-    M_i, each other summand as its class's maximal digits plus a 1 at M_i,
-    the multiset values, and the check that n's digits evaluate to their
-    sum.  Returns the shared digits and the witnesses."""
+               fams: IntervalFamilies, key: str, level: tuple | None = None
+               ) -> tuple[tuple, dict[int, int], list[WitnessCertificate]]:
+    """construct_witness past its checks, on `level` if it is the `_level`
+    of a's top index and class, else on a new one.  a's digits, checked
+    off the other classes' indices below M0, merge with the level's into
+    the digits the W witnesses share; each witness adds its 1s, and its
+    digits must evaluate to its multiset's sum.  Returns the level, the
+    shared digits and the witnesses."""
     rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
     M0 = rep_a.max_index()
-    seq = spec.seq
-    own = rep_a.digits
-    # class i's maximal digits below M0 and their value; `shared` merges
-    # them with a's digits, ascending
-    maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]
-    base = [0] * spec.h
-    gj = 1  # g_j, multiplied up as j runs: no scale table past its cap
-    shared: dict[int, int] = {}
-    quots, colors = spec._positions(M0)
-    for j in range(M0):
-        c, x = colors[j], own.get(j)
-        if c == i0:
-            if x is not None:
-                shared[j] = x
-        elif x is not None:
+    if level is None or level[:2] != (M0, i0):
+        level = _level(spec, t, M0, i0, W, fams)
+    _, _, others, witnesses, _, colors = level
+    for j in rep_a.digits:
+        if j < M0 and colors[j] != i0:
             raise RuntimeError("witness construction bug: summand "
                                f"supports overlap at index {j}")
-        else:
-            maximal[c][j] = shared[j] = top = quots[j] - 1
-            base[c] += top * gj
-        gj *= quots[j]
-    shared[M0] = own[M0]
-    gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
-
+    shared = dict(sorted([*others.items(), *rep_a.items()]))
     certs = []
-    for _ in range(W):
-        chosen = {i: next(gen) for i, gen in gens.items()}
-        summands = {i0: rep_a}
-        values = [a]
-        for i, Mi in chosen.items():
-            # ascending: every maximal index is below M0 < Mi
-            digits = maximal[i].copy()
-            digits[Mi] = 1
-            summands[i] = DigitRep._trusted(digits)
-            values.append(base[i] + seq.value(Mi))
-        values.sort()
-        digits = dict(shared)
-        for Mi in sorted(chosen.values()):
-            digits[Mi] = 1
-        n_rep = DigitRep._trusted(digits)
-        n_value = seq.evaluate(n_rep)
+    for chosen, summands, values, tops in witnesses:
+        n_rep = DigitRep._trusted({**shared, **tops})
+        n_value = spec.seq.evaluate(n_rep)
+        values = sorted([a, *values])
         if n_value != sum(values):
             raise RuntimeError(f"witness construction bug: digits of n={n_value} "
                                "do not sum the summands")
         certs.append(WitnessCertificate(
             spec_hash=key, t=t, removed=a, removed_rep=rep_a, removed_class=i0,
-            M0=M0, chosen_Ms=chosen, summands=summands, n_rep=n_rep,
-            n_value=n_value, multiset=values))
-    return shared, certs
+            M0=M0, chosen_Ms=dict(chosen), summands={i0: rep_a, **summands},
+            n_rep=n_rep, n_value=n_value, multiset=values))
+    return level, shared, certs
 
 
 def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertificate:
@@ -322,10 +318,11 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     Once per batch, before this returns: the hypothesis gate, the K and W
     check, the Theorem 1 precheck and the config hash.  The members come
     from the member walk (`BasisSpec._walk`), which holds only the members
-    it has yielded.  Once per member: its witnesses and shared digits
-    (_witnesses), the quotients and classes up to its largest witness, and
-    one DP state that walks the shared digits up to each witness's
-    smallest M_i, which strictly increases.  Per witness: the checks that
+    it has yielded, in increasing order.  Once per top index: the level
+    (`_level`), held until the walk passes it.  Once per member: its
+    witnesses and shared digits (_witnesses), and one DP state that walks
+    the shared digits up to each witness's smallest M_i, which strictly
+    increases.  Per witness: the checks that
     its smallest M_i is not below the carried position and that its
     digits below it are the shared ones (a RuntimeError from `rounds`), the
     walk from there over its own top digits, and the verdict on the
@@ -337,11 +334,12 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     key, h = spec_hash(spec, t), spec.h
 
     def rounds():
-        # zip draws from range first, so the walk stops at the K-th member
+        # zip draws from range first, so the walk stops at the K-th member;
+        # it yields them in increasing order, so each level is built once
+        level = None
         for _, a in zip(range(K), spec._walk()):
-            shared, certs = _witnesses(spec, t, a, W, fams, key)
-            quots, colors = spec._positions(
-                max(c.n_rep.max_index() for c in certs) + 1)
+            level, shared, certs = _witnesses(spec, t, a, W, fams, key, level)
+            quots, colors = level[4:]
             state, pos = _dp_start(h), 0
             for cert in certs:
                 low = min(cert.chosen_Ms.values())

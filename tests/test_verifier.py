@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,7 @@ from gadic import (PRESETS, BasisSpec, DigitRep, DomainError, GadicSequence,
                    count_reps_digitdp, load_preset, min_t, removability_scan,
                    verify_minimality, verify_theorem1, verify_theorem2,
                    verify_witness)
+from gadic.partition import IntervalFamilies
 from gadic.repcount import hfold_sumset_window, sumset_gaps
 from gadic.verifier import (check_lemma1, check_lemma2,
                             random_alternate_decomposition)
@@ -184,6 +186,41 @@ class TestConstructWitness:
             total = sum(mixed23_pairs.seq.evaluate(rep)
                         for rep in cert.summands.values())
             assert cert.n_value == total == mixed23_pairs.seq.evaluate(cert.n_rep)
+
+    def test_overlapping_supports_raise(self, binary_pairs, monkeypatch):
+        # 9 has digits at indices 0 and 3, of classes 0 and 1: read as a
+        # class-1 member, its index-0 digit lies on the class-0 summand's
+        # maximal digits
+        real = BasisSpec._rep_and_class
+
+        def nine_in_class_one(spec, n):
+            rep, cls = real(spec, n)
+            return (rep, 1) if n == 9 else (rep, cls)
+
+        monkeypatch.setattr(BasisSpec, "_rep_and_class", nine_in_class_one)
+        with pytest.raises(RuntimeError, match=r"^witness construction bug: "
+                           r"summand supports overlap at index 0$"):
+            construct_witness(binary_pairs, 2, 9)
+
+    def test_shared_endpoint_raises(self, monkeypatch, capsys):
+        # class 2 takes class 1's window endpoints on h3-runs, so the class-1
+        # and class-2 summands of a class-0 member put their 1 at the same
+        # M_i: n's digits hold it once, the summands twice
+        real = IntervalFamilies.members_from
+
+        def shared_endpoints(fams, i, lower):
+            return real(fams, 1 if i == 2 else i, lower)
+
+        monkeypatch.setattr(IntervalFamilies, "members_from", shared_endpoints)
+        cfg = load_preset("h3-runs")
+        message = (r"^witness construction bug: digits of n=\d+ "
+                   r"do not sum the summands$")
+        with pytest.raises(RuntimeError, match=message):
+            construct_witness(cfg.basis, cfg.t, 1)
+        assert cli.main(["minimality", "--preset", "h3-runs"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.match(message, err.removeprefix("error: ").rstrip("\n"))
 
 
 class TestVerifyWitness:
@@ -459,12 +496,22 @@ class TestSharedPrefix:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(spec=configurations(min_run=3).filter(lambda spec: spec.h <= 3),
-           K=st.integers(1, 6), W=st.integers(1, 6), below=st.integers(0, 2))
+           K=st.integers(1, 40), W=st.integers(1, 6), below=st.integers(0, 2))
     @preset_examples
+    @example(spec=BasisSpec(GadicSequence(period=[2, 3], prefix=[3]),
+                            PartitionSpec(h=2, period_colors=[0, 0, 1, 1, 1],
+                                          prefix_colors=[1, 0, 1])),
+             K=40, W=3, below=0)
+    @example(spec=BasisSpec(GadicSequence(period=[2]),
+                            PartitionSpec(h=3, period_colors=[2, 2, 2, 0, 0,
+                                                              0, 1, 1, 1],
+                                          prefix_colors=[0, 2])),
+             K=40, W=2, below=1)
     def test_batch_matches_one_witness_at_a_time(self, spec, K, W, below):
-        # the batch's carried prefix state against verify_witness, which
-        # counts from position 0; t at the threshold, or below it with
-        # override
+        # the batch's carried prefix state and shared levels against
+        # construct_witness and verify_witness, which build each member's
+        # level afresh and count from position 0; t at the threshold, or
+        # below it with override
         t = max(1, min_t(spec.h) - below)
         override = t < min_t(spec.h)
         _, certs = run_minimality(spec, t, K, W, override=override)
@@ -477,6 +524,30 @@ class TestSharedPrefix:
         for cert in certs:
             assert cert.measured_count == count_reps_digitdp(
                 spec, cert.n_rep, spec.h).ordered_count
+
+    @pytest.mark.parametrize("name, levels", [
+        ("binary-h2", 14), ("h3-runs", 12), ("h4-runs", 14),
+        ("mixed23-h2", 10)])
+    def test_level_built_once_per_top_index(self, name, levels, monkeypatch):
+        # at the benchmark's certify sizes: K = 200 (h = 2) or 50, W = 4
+        cfg = load_preset(name)
+        spec, t, K = cfg.basis, cfg.t, 200 if cfg.partition.h == 2 else 50
+        real, built = gadic.verifier._level, []
+
+        def counted(spec, t, M0, *args):
+            built.append(M0)
+            return real(spec, t, M0, *args)
+
+        monkeypatch.setattr(gadic.verifier, "_level", counted)
+        _, certs = run_minimality(spec, t, K, W=4)
+        assert built == sorted({c.M0 for c in certs})
+        assert len(built) == levels
+        members = sorted({c.removed for c in certs})
+        expected = [verify_witness(spec, c) for a in members
+                    for c in construct_witness(spec, t, a, W=4)]
+        assert len(built) == levels + K  # one level per construct_witness
+        assert [c.render(spec) for c in certs] \
+            == [c.render(spec) for c in expected]
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_prefix_walked_once_per_member(self, name, monkeypatch):
@@ -507,9 +578,9 @@ class TestSharedPrefix:
         bug matching `message`, exit 1."""
         cfg, real = load_preset(name), gadic.verifier._witnesses
 
-        def tampered(spec, t, a, W, fams, key):
-            shared, certs = real(spec, t, a, W, fams, key)
-            return shared, tamper(spec, t, a, certs)
+        def tampered(spec, t, a, *args):
+            level, shared, certs = real(spec, t, a, *args)
+            return level, shared, tamper(spec, t, a, certs)
 
         monkeypatch.setattr(gadic.verifier, "_witnesses", tampered)
         with pytest.raises(RuntimeError, match=message) as exc:
