@@ -18,7 +18,7 @@ from .core import DigitRep, DomainError
 from .basis import BasisSpec, _add_members
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
-from .repcount import _dp_accept, _dp_start, _dp_steps, \
+from .repcount import _dp_accept, _dp_start, _dp_steps, _end_sets, \
     check_prefix_inequality, count_reps_digitdp, sumset_gaps
 
 
@@ -160,11 +160,16 @@ def _level(spec: BasisSpec, t: int, M0: int, i0: int, W: int,
            fams: IntervalFamilies) -> tuple:
     """The witness parts shared by the class-i0 members with top index M0:
     (M0, i0, the other classes' maximal digits below M0, per witness its
-    endpoints M_i, other summands, their values and n's 1s at the M_i,
-    the quotients and classes up to the largest M_i)."""
+    endpoints M_i, other summands, their values, n's 1s at the M_i and
+    their value, the quotients and classes up to the largest M_i).  Every
+    M_i must lie above M0, off the digits the witnesses share."""
     gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
     chosen = [{i: next(gen) for i, gen in gens.items()} for _ in range(W)]
-    quots, colors = spec._positions(max(M for c in chosen for M in c.values()) + 1)
+    ends = sorted(M for c in chosen for M in c.values())
+    if ends[0] <= M0:
+        raise RuntimeError(f"witness construction bug: endpoint M_i {ends[0]} "
+                           f"not above M0 = {M0}")
+    quots, colors = spec._positions(ends[-1] + 1)
     maximal: list[dict[int, int]] = [{} for _ in range(spec.h)]
     base, others = [0] * spec.h, {}
     gj = 1  # g_j, multiplied up as j runs: no scale table past its cap
@@ -175,9 +180,11 @@ def _level(spec: BasisSpec, t: int, M0: int, i0: int, W: int,
             base[c] += top * gj
         gj *= quots[j]
     # ascending: every maximal index is below M0 < M_i
+    tops = [dict.fromkeys(sorted(c.values()), 1) for c in chosen]
     witnesses = [(c, {i: DigitRep._trusted({**maximal[i], M: 1}) for i, M in c.items()},
                   [base[i] + spec.seq.value(M) for i, M in c.items()],
-                  dict.fromkeys(sorted(c.values()), 1)) for c in chosen]
+                  top, spec.seq.evaluate(DigitRep._trusted(top)))
+                 for c, top in zip(chosen, tops)]
     return M0, i0, others, witnesses, quots, colors
 
 
@@ -187,9 +194,9 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
     """construct_witness past its checks, on `level` if it is the `_level`
     of a's top index and class, else on a new one.  a's digits, checked
     off the other classes' indices below M0, merge with the level's into
-    the digits the W witnesses share; each witness adds its 1s, and its
-    digits must evaluate to its multiset's sum.  Returns the level, the
-    shared digits and the witnesses."""
+    the digits the W witnesses share; each witness adds its 1s above M0,
+    so n is their two values' sum, which must be the multiset's.  Returns
+    the level, the shared digits and the witnesses."""
     rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
@@ -202,10 +209,11 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
             raise RuntimeError("witness construction bug: summand "
                                f"supports overlap at index {j}")
     shared = dict(sorted([*others.items(), *rep_a.items()]))
+    shared_value = spec.seq.evaluate(DigitRep._trusted(shared))
     certs = []
-    for chosen, summands, values, tops in witnesses:
+    for chosen, summands, values, tops, tops_value in witnesses:
         n_rep = DigitRep._trusted({**shared, **tops})
-        n_value = spec.seq.evaluate(n_rep)
+        n_value = shared_value + tops_value
         values = sorted([a, *values])
         if n_value != sum(values):
             raise RuntimeError(f"witness construction bug: digits of n={n_value} "
@@ -322,11 +330,13 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     (`_level`), held until the walk passes it.  Once per member: its
     witnesses and shared digits (_witnesses), and one DP state that walks
     the shared digits up to each witness's smallest M_i, which strictly
-    increases.  Per witness: the checks that
-    its smallest M_i is not below the carried position and that its
-    digits below it are the shared ones (a RuntimeError from `rounds`), the
-    walk from there over its own top digits, and the verdict on the
-    accepted count."""
+    increases, until it is the final live set (carry 0, one summand per
+    class), which every later digit leaves as it is: its accepted count
+    settles that witness and every later one.  Per witness: the checks
+    that its smallest M_i is not below the carried position and that its
+    digits below it are the shared ones (a RuntimeError from `rounds`),
+    the walk from there over its own top digits unless the state is
+    final, and the verdict on the accepted count."""
     fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
@@ -336,11 +346,11 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     def rounds():
         # zip draws from range first, so the walk stops at the K-th member;
         # it yields them in increasing order, so each level is built once
-        level = None
+        level, done = None, _end_sets(h)[1]
         for _, a in zip(range(K), spec._walk()):
             level, shared, certs = _witnesses(spec, t, a, W, fams, key, level)
             quots, colors = level[4:]
-            state, pos = _dp_start(h), 0
+            state, pos, final = _dp_start(h), 0, None
             for cert in certs:
                 low = min(cert.chosen_Ms.values())
                 if low < pos:
@@ -349,12 +359,16 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
                 if {j: x for j, x in cert.n_rep.items() if j < low} != shared:
                     raise RuntimeError(f"witness construction bug: n={cert.n_value} "
                                        f"does not share the digits below {low}")
-                # the DP's order h is the partition's class count here
-                state = _dp_steps(state, quots, colors, shared.get, pos, low, h, h)
+                # the DP's order h is the partition's class count here, so
+                # from the final live set every later step leaves it as it is
+                if final is None:
+                    state = _dp_steps(state, quots, colors, shared.get, pos, low, h, h)
+                    if state[0] == done:
+                        final = _dp_accept(state, zero_allowed=False)
                 pos = low
-                own = _dp_steps(state, quots, colors, cert.n_rep.digits.get, low,
-                                cert.n_rep.max_index() + 1, h, h)
-                _settle(cert, h, _dp_accept(own, zero_allowed=False))
+                _settle(cert, h, final if final is not None else _dp_accept(
+                    _dp_steps(state, quots, colors, cert.n_rep.digits.get, low,
+                              cert.n_rep.max_index() + 1, h, h), zero_allowed=False))
             yield certs
 
     return report1, rounds()

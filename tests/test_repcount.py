@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 from functools import lru_cache
 from itertools import islice, takewhile
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -774,6 +775,51 @@ class TestOtherOrders:
                         for _ in range(h))
                 for zero_allowed in (False, True):
                     TestOrderedOracle.check(spec, n, zero_allowed, h)
+
+
+class TestFinalLiveSet:
+    """The stop verify_minimality's rounds rest on: with h the partition's
+    class count, the live set {carry 0, summand i committed to class i} is
+    final, so every later step over in-range digits leaves its set id and
+    its ways as they are.  With h other than the class count the walk goes
+    on from that set."""
+
+    @staticmethod
+    def walk(spec, h, classes, lo, hi, digits, ways):
+        """_dp_steps from the final live set of h over [lo, hi), digit j of
+        n read from digits[j] mod its quotient; also the steps it took."""
+        quots, colors = spec._positions(hi)
+        read = {j: digits[j - lo] % quots[j] for j in range(lo, hi)}
+        advance, steps = repcount._advance, []
+
+        def recorded(*key):
+            steps.append(key)
+            return advance(*key)
+
+        with patch.object(repcount, "_advance", recorded):
+            state = repcount._dp_steps((repcount._end_sets(h)[1], ways, 1),
+                                       quots, colors, read.get, lo, hi, h,
+                                       classes)
+        return state, steps
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=configurations(), lo=st.integers(0, 60),
+           digits=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=40),
+           ways=st.integers(1, 1 << 64), other=st.sampled_from([2, 3, 4, 5]))
+    def test_later_steps_leave_the_final_set(self, spec, lo, digits, ways,
+                                             other):
+        h, hi = spec.h, lo + len(digits)
+        final = repcount._end_sets(h)[1]
+        # class count h + 1: no early exit, so every step is taken
+        (set_id, got, _), steps = self.walk(spec, h, h + 1, lo, hi, digits,
+                                            [ways])
+        assert steps and (set_id, got) == (final, [ways])
+        # the walk _dp_steps stops before any step
+        assert self.walk(spec, h, h, lo, hi, digits, [ways]) \
+            == ((final, [ways], 1), [])
+        if other != h:
+            _, steps = self.walk(spec, other, h, lo, hi, digits, [ways])
+            assert steps
 
 
 class TestHfoldSumset:

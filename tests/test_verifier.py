@@ -222,6 +222,27 @@ class TestConstructWitness:
         assert err.count("\n") == 1
         assert re.match(message, err.removeprefix("error: ").rstrip("\n"))
 
+    def test_endpoint_not_above_m0_raises(self, monkeypatch, capsys):
+        # class 0 draws its endpoints from index 0 on binary-h2: a = 4 has
+        # M0 = 2 and gets the class-0 endpoint 1, where the class-0 summand
+        # already holds its maximal digit 1; n's digits would keep one 1
+        # there, so n would not be the value of its digits
+        real = IntervalFamilies.members_from
+
+        def endpoints_from_zero(fams, i, lower):
+            return real(fams, i, 0 if i == 0 else lower)
+
+        monkeypatch.setattr(IntervalFamilies, "members_from",
+                            endpoints_from_zero)
+        cfg = load_preset("binary-h2")
+        message = r"^witness construction bug: endpoint M_i 1 not above M0 = 2$"
+        with pytest.raises(RuntimeError, match=message):
+            construct_witness(cfg.basis, cfg.t, 4)
+        assert cli.main(["minimality", "--preset", "binary-h2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.match(message, err.removeprefix("error: ").rstrip("\n"))
+
 
 class TestVerifyWitness:
     def test_certifies_hand_checked_pair(self, binary_pairs):
@@ -552,7 +573,7 @@ class TestSharedPrefix:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_prefix_walked_once_per_member(self, name, monkeypatch):
         cfg = load_preset(name)
-        spec, t = cfg.basis, cfg.t
+        spec, t, h = cfg.basis, cfg.t, cfg.partition.h
         real, walks = gadic.verifier._dp_steps, []
 
         def recorded(state, quots, colors, digit, lo, hi, h, classes):
@@ -561,14 +582,60 @@ class TestSharedPrefix:
 
         monkeypatch.setattr(gadic.verifier, "_dp_steps", recorded)
         _, certs = run_minimality(spec, t, K=6, W=4)
-        expected = []
+        monkeypatch.undo()
+        expected, fired = [], []
         for k, cert in enumerate(certs):
+            if k % 4 == 0:
+                pos, final = 0, False
             # the prefix state walks on from the last witness's smallest
-            # M_i (from 0 for a member's first witness) to this one's
-            pos = 0 if k % 4 == 0 else low
-            low = min(cert.chosen_Ms.values())
-            expected += [(pos, low), (low, cert.n_rep.max_index() + 1)]
+            # M_i (from 0 for a member's first witness) to this one's,
+            # until it is the final live set, found afresh here: that
+            # witness and the member's later ones take no walk of their own
+            if not final:
+                low = min(cert.chosen_Ms.values())
+                expected.append((pos, low))
+                quots, colors = spec._positions(low)
+                final = real(gadic.repcount._dp_start(h), quots, colors,
+                             cert.n_rep.digits.get, 0, low, h, h)[0] \
+                    == gadic.repcount._end_sets(h)[1]
+                if not final:
+                    expected.append((low, cert.n_rep.max_index() + 1))
+                pos = low
+            fired.append(final)
         assert walks == expected
+        # the final state is reached at the first witness of the members
+        # 4, 8 and 12 of binary-h2 and 6 of mixed23-h2, and never in the
+        # first 6 members of h3-runs or h4-runs
+        assert sum(fired) == {"binary-h2": 12, "mixed23-h2": 4}.get(name, 0)
+
+    def test_certify_pass_call_totals(self, monkeypatch):
+        # the benchmark's certify sizes: K = 200 (h = 2) or 50, W = 4 on
+        # every preset.  One evaluate per member (its shared digits) and
+        # per witness of a level (its 1s); walks stop at the final state,
+        # which 1,828 of the 2,000 witnesses find already carried
+        steps, evals = gadic.verifier._dp_steps, GadicSequence.evaluate
+        calls = {"steps": 0, "evaluate": 0}
+
+        def counted_steps(*args):
+            calls["steps"] += 1
+            return steps(*args)
+
+        def counted_evaluate(seq, rep):
+            calls["evaluate"] += 1
+            return evals(seq, rep)
+
+        monkeypatch.setattr(gadic.verifier, "_dp_steps", counted_steps)
+        monkeypatch.setattr(GadicSequence, "evaluate", counted_evaluate)
+        members = levels = 0
+        for name in sorted(PRESETS):
+            cfg = load_preset(name)
+            K = 200 if cfg.partition.h == 2 else 50
+            _, certs = run_minimality(cfg.basis, cfg.t, K, W=4)
+            assert len(certs) == 4 * K
+            members += K
+            levels += len({c.M0 for c in certs})
+        assert (members, levels) == (500, 50)
+        assert calls == {"steps": 801, "evaluate": 700}
 
     @staticmethod
     def refused(name, K, tamper, message, monkeypatch, capsys):
@@ -597,6 +664,18 @@ class TestSharedPrefix:
 
         self.refused(name, 1, shuffled, r"^witness construction bug: n=\d+: "
                      r"M_i \d+ below the carried position \d+$",
+                     monkeypatch, capsys)
+
+    def test_witnesses_out_of_order_refused_past_the_final_state(
+            self, monkeypatch, capsys):
+        # binary-h2's fourth member, 4, carries the final live set from its
+        # first witness on, so its later witnesses take no walk, but the
+        # carried position still moves to each one's smallest M_i
+        def swapped(spec, t, a, certs):
+            return [certs[k] for k in (0, 2, 1, 3)] if a == 4 else certs
+
+        self.refused("binary-h2", 4, swapped, r"^witness construction bug: "
+                     r"n=\d+: M_i \d+ below the carried position \d+$",
                      monkeypatch, capsys)
 
     def test_witness_with_other_low_digits_refused(self, monkeypatch, capsys):
