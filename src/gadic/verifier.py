@@ -18,7 +18,7 @@ from .core import DigitRep, DomainError
 from .basis import BasisSpec, _add_members
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
-from .repcount import _dp_accept, _dp_start, _dp_steps, _end_sets, \
+from .repcount import _dp_accept, _dp_start, _dp_steps, \
     check_prefix_inequality, count_reps_digitdp, sumset_gaps
 
 
@@ -162,7 +162,9 @@ def _level(spec: BasisSpec, t: int, M0: int, i0: int, W: int,
     (M0, i0, the other classes' maximal digits below M0, per witness its
     endpoints M_i, other summands, their values, n's 1s at the M_i and
     their value, the quotients and classes up to the largest M_i).  Every
-    M_i must lie above M0, off the digits the witnesses share."""
+    M_i must lie above M0, off the digits the witnesses share: that check
+    is what lets verify_minimality count all of a member's witnesses from
+    one DP state over those digits."""
     gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
     chosen = [{i: next(gen) for i, gen in gens.items()} for _ in range(W)]
     ends = sorted(M for c in chosen for M in c.values())
@@ -232,8 +234,7 @@ def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertific
     multiset; measured is the exact DP count.  Equality means every ordered
     h-representation of n is a permutation of the constructed one, and since
     the removed element is in the multiset, n has no representation over the
-    set with a removed.  The count runs from position 0, independently of
-    the prefix state verify_minimality carries between witnesses.  A second
+    set with a removed.  The count runs from position 0.  A second
     route, `_count_without`, counts the representations that avoid a; it
     must find none for a certified witness, and no more than those left
     once the expected ones through a are taken out, or this raises.  A
@@ -328,15 +329,12 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     from the member walk (`BasisSpec._walk`), which holds only the members
     it has yielded, in increasing order.  Once per top index: the level
     (`_level`), held until the walk passes it.  Once per member: its
-    witnesses and shared digits (_witnesses), and one DP state that walks
-    the shared digits up to each witness's smallest M_i, which strictly
-    increases, until it is the final live set (carry 0, one summand per
-    class), which every later digit leaves as it is: its accepted count
-    settles that witness and every later one.  Per witness: the checks
-    that its smallest M_i is not below the carried position and that its
-    digits below it are the shared ones (a RuntimeError from `rounds`),
-    the walk from there over its own top digits unless the state is
-    final, and the verdict on the accepted count."""
+    witnesses and shared digits (`_witnesses`), and one DP state walked
+    over the shared digits on [0, M0].  Per witness: the walk from that
+    state over its digits above M0, and the verdict on the accepted count.
+    The split is exact because `_level` puts every endpoint M_i above M0:
+    a witness's digits up to M0 are the shared ones, its digits above M0
+    are its 1s, and no witness depends on another's walk."""
     fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
@@ -346,29 +344,16 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     def rounds():
         # zip draws from range first, so the walk stops at the K-th member;
         # it yields them in increasing order, so each level is built once
-        level, done = None, _end_sets(h)[1]
+        level = None
         for _, a in zip(range(K), spec._walk()):
             level, shared, certs = _witnesses(spec, t, a, W, fams, key, level)
-            quots, colors = level[4:]
-            state, pos, final = _dp_start(h), 0, None
+            M0, _, _, _, quots, colors = level
+            prefix = _dp_steps(_dp_start(h), quots, colors, shared.get,
+                               0, M0 + 1, h, h)
             for cert in certs:
-                low = min(cert.chosen_Ms.values())
-                if low < pos:
-                    raise RuntimeError(f"witness construction bug: n={cert.n_value}: "
-                                       f"M_i {low} below the carried position {pos}")
-                if {j: x for j, x in cert.n_rep.items() if j < low} != shared:
-                    raise RuntimeError(f"witness construction bug: n={cert.n_value} "
-                                       f"does not share the digits below {low}")
-                # the DP's order h is the partition's class count here, so
-                # from the final live set every later step leaves it as it is
-                if final is None:
-                    state = _dp_steps(state, quots, colors, shared.get, pos, low, h, h)
-                    if state[0] == done:
-                        final = _dp_accept(state, zero_allowed=False)
-                pos = low
-                _settle(cert, h, final if final is not None else _dp_accept(
-                    _dp_steps(state, quots, colors, cert.n_rep.digits.get, low,
-                              cert.n_rep.max_index() + 1, h, h), zero_allowed=False))
+                _settle(cert, h, _dp_accept(_dp_steps(
+                    prefix, quots, colors, cert.n_rep.digits.get, M0 + 1,
+                    cert.n_rep.max_index() + 1, h, h), zero_allowed=False))
             yield certs
 
     return report1, rounds()
