@@ -35,43 +35,46 @@ def _check_window(N: int) -> None:
 
 def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
     """X + (A minus {a}) over [0, N] >= 1, A the members of spec, X a bit
-    array.
+    array; its bits above N are dropped.
 
     The class-i members with top digit at index m are the digit box
     [1, d-1]*g_m + (class-i digits below m), so one walk over the indices
     j with g_j <= N builds X + A: per class, Y = X + (its digit box below
     j), and at a class-c index the piece OR_x Y_c << x*g_j (x*g_j <= N)
-    joins the output and Y_c.  Cost: sum of (d - 1) shifts over those
-    indices, O(N/64) words each, however many members there are (the
+    joins the output and Y_c.  As g_j >= 2^j, those j lie below
+    N.bit_length(); their quotients and classes are unrolled from the
+    periods, so no scale table is built.  Cost: sum of (d - 1) shifts over
+    those indices, O(N/64) words each, however many members there are (the
     member route, repcount.hfold_sumset_window, is the tests' oracle).
-    From X = {0} one round gives the member mask itself.  A member a of
-    class i0 with top index M0 splits its own piece into one box per
-    class-i0 index k <= M0: a's digits above k, a digit other than a's at
-    k (nonzero at M0), and any class-i0 digits below k.  An a that is not
-    a member removes nothing.  N above DEFAULT_WINDOW_LIMIT is refused
-    (WindowTooLargeError) before any bit array is built.
+    Shifts only move bits up, so a bit above N never comes back into
+    [0, N]: the output is clipped once, on return, and the pieces reach
+    about 3N bits.  From X = {0} one round gives the member mask itself.
+    A member a of class i0 with top index M0 splits its own piece into one
+    box per class-i0 index k <= M0: a's digits above k, a digit other than
+    a's at k (nonzero at M0), and any class-i0 digits below k.  An a that
+    is not a member removes nothing; a = 0 reads no digits.  N above
+    DEFAULT_WINDOW_LIMIT is refused (WindowTooLargeError) before any bit
+    array is built.
     """
     _check_window(N)
-    top = spec.seq.leading_index(N)
-    quots, colors = spec._positions(top + 1)
-    clip = (1 << (N + 1)) - 1
-    rep, i0 = spec._rep_and_class(a) if a <= N else (None, None)
+    quots, colors = spec._positions(N.bit_length())
+    rep, i0 = spec._rep_and_class(a) if 0 < a <= N else (None, None)
     M0 = rep.max_index() if i0 is not None else -1
-    Y = [X & clip] * spec.h
+    Y = [X] * spec.h
     out = low = 0  # low: a's digits up to the last class-i0 index walked
     gj = 1  # g_j, multiplied up as j runs
-    for j in range(top + 1):
-        c, d = colors[j], quots[j]
+    for j, (c, d) in enumerate(zip(colors, quots)):
+        if gj > N:
+            break
         y = Y[c]
-        # g_j <= N at every index walked (top = leading_index(N)), so the
-        # shift by g_j needs no guard; part starts from it, not from 0,
-        # which saves one N-bit copy per index
+        # g_j <= N at every index walked, so the shift by g_j needs no
+        # guard; part starts from it, not from 0, which saves one N-bit
+        # copy per index
         part = y << gj
         for x in range(2, d):
             if x * gj > N:
                 break
             part |= y << x * gj
-        part &= clip
         Y[c] = y | part
         if c != i0 or j != M0:
             out |= part
@@ -85,7 +88,7 @@ def _add_members(spec: BasisSpec, X: int, N: int, a: int = 0) -> int:
                 if x != own:
                     out |= y << above + x * gj
         gj *= d
-    return out & clip
+    return out & ((1 << (N + 1)) - 1)
 
 
 @dataclass

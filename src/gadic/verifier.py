@@ -12,6 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import takewhile
 
 from . import __version__
 from .core import DigitRep, DomainError
@@ -444,22 +445,23 @@ class RemovabilityRow:
 
 def removability_scan(spec: BasisSpec, N: int,
                       elem_bound: int | None = None) -> list[RemovabilityRow]:
-    """For each a in {0} union the members up to elem_bound, recompute the
-    h-fold window sumset of the 0-adjoined set without a.  Its layer 1 is
-    the member mask with bit a cleared, so each a takes h - 1 kernel rounds
-    after the one enumeration.  Output is labeled evidence: a finite window
-    cannot settle an asymptotic claim."""
-    if elem_bound is None:
-        elem_bound = min(N, 64)
-    elif elem_bound < 0:
+    """For each a in {0} union the members up to min(elem_bound, N)
+    (elem_bound defaults to 64), recompute the h-fold window sumset of the
+    0-adjoined set without a.  Its layer 1 is the member mask, one kernel
+    round from X = {0}, with bit a cleared, so each a takes h - 1 more
+    rounds; the elements come from the member walk (`BasisSpec._walk`),
+    stopped at the first member past the bound.  Output is labeled
+    evidence: a finite window cannot settle an asymptotic claim."""
+    if elem_bound is not None and elem_bound < 0:
         raise DomainError(f"element bound must be >= 0, got {elem_bound}")
-    window = spec.enumerate(N)
-    elements = [0] + [m for m in window.members if m <= elem_bound]
+    bound = min(N, 64 if elem_bound is None else elem_bound)
+    mask = _add_members(spec, 1, N)  # refuses a bad window before the walk
+    elements = [0, *takewhile(lambda m: m <= bound, spec._walk())]
     clip = (1 << (N + 1)) - 1
     rows = []
     for a in elements:
         # h((A u {0}) minus {a}): removing 0 leaves hA
-        cover, hB = _hfold(spec, window.mask & ~(1 << a), N, a)
+        cover, hB = _hfold(spec, mask & ~(1 << a), N, a)
         missing = ~(cover if a else hB) & clip
         last = missing.bit_length() - 1  # the largest miss, -1 for none
         covered_from = last + 1 if last < N else None

@@ -919,6 +919,28 @@ class TestAddMembers:
                 assert kernel_removal(spec, N, a) \
                     == hfold_sumset_window((mask | 1) & ~(1 << a), N, spec.h)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=configurations(quotients=WIDE_QUOTIENTS),
+           N=st.integers(1, 400), data=st.data())
+    def test_one_round_is_one_member_shift_or(self, spec, N, data):
+        """One round is X + (A minus {a}) clipped to [0, N]: the OR of
+        X << m over the members m <= N other than a.  X may hold bits
+        above N, which the round drops, and a is 0, a member, a non-member
+        up to N, or N + 1."""
+        members, _ = classify_window(spec, N)
+        others = sorted(set(range(1, N + 1)).difference(members))
+        kinds = [kind for kind in ([0], members, others, [N + 1]) if kind]
+        a = data.draw(st.sampled_from(kinds).flatmap(st.sampled_from),
+                      label="a")
+        X = data.draw(st.integers(0, (1 << (N + 1)) - 1), label="X") \
+            | data.draw(st.just(0) | st.integers(1, (1 << 40) - 1),
+                        label="above N") << N + 1
+        expected = 0
+        for m in members:
+            if m != a:
+                expected |= X << m
+        assert _add_members(spec, X, N, a) == expected & (1 << (N + 1)) - 1
+
     @pytest.mark.parametrize("period,N", [([300], 299), ([300], 300),
                                           ([300], 4097), ([2, 300], 1199)])
     def test_large_quotient(self, period, N):

@@ -14,6 +14,7 @@ from gadic import (PRESETS, BasisSpec, DigitRep, DomainError, GadicSequence,
                    count_reps_digitdp, load_preset, min_t, removability_scan,
                    verify_minimality, verify_theorem1, verify_theorem2,
                    verify_witness)
+from gadic.basis import DEFAULT_WINDOW_LIMIT, WindowTooLargeError
 from gadic.partition import IntervalFamilies
 from gadic.repcount import hfold_sumset_window, sumset_gaps
 from gadic.verifier import (check_lemma1, check_lemma2,
@@ -95,6 +96,20 @@ def test_window_checks_make_no_member_shifts(name, monkeypatch, kernel_calls):
     kernel_calls.clear()
     assert all(r.passed for r in verify_theorem2(spec, 4096))
     assert len(kernel_calls) == spec.h
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_window_checks_build_no_digit_tables(name):
+    """On a freshly loaded preset the theorem checks build neither the scale
+    table (`_cache`) nor the run tables of `represent` (`_runs`), and the
+    removability scan builds no scale table."""
+    for run, unbuilt in (
+            (lambda spec: verify_theorem1(spec, 4096), {"_cache", "_runs"}),
+            (lambda spec: verify_theorem2(spec, 4096), {"_cache", "_runs"}),
+            (lambda spec: removability_scan(spec, 4096), {"_cache"})):
+        spec = load_preset(name).basis
+        run(spec)
+        assert not unbuilt & spec.seq.__dict__.keys()
 
 
 class TestTheorem2:
@@ -803,11 +818,36 @@ class TestRemovabilityScan:
             assert self.scan_rows(spec, N) == self.member_route_rows(spec, N)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("bound", [10, 100])
+    def test_bound_at_or_past_the_window(self, name, bound, monkeypatch):
+        """With elem_bound at or above N every member up to N is removed in
+        turn, and the elements come from the member walk, not from
+        enumerate."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate called")
+
+        monkeypatch.setattr(BasisSpec, "enumerate", refuse)
+        spec = load_preset(name).basis
+        rows = removability_scan(spec, 10, elem_bound=bound)
+        assert [(r.removed, r.covered_from, r.miss_count) for r in rows] \
+            == self.member_route_rows(spec, 10)
+
+    def test_oversized_window_refused_before_the_walk(self, binary_pairs,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("member walk started")
+
+        monkeypatch.setattr(BasisSpec, "_walk", refuse)
+        with pytest.raises(WindowTooLargeError):
+            removability_scan(binary_pairs, DEFAULT_WINDOW_LIMIT + 1,
+                              elem_bound=10**12)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
     @pytest.mark.parametrize("N, bound", [(32768, None), (600, 600)])
     def test_each_removal_reuses_the_member_mask(self, name, N, bound,
                                                  kernel_calls):
-        """One enumeration, then h - 1 kernel rounds per removed element:
-        the member mask minus a is the removal's layer 1."""
+        """One member-mask round, then h - 1 kernel rounds per removed
+        element: the member mask minus a is the removal's layer 1."""
         spec = load_preset(name).basis
         rows = removability_scan(spec, N, elem_bound=bound)
         assert len(kernel_calls) == 1 + len(rows) * (spec.h - 1)
