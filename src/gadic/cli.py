@@ -57,19 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", parents=[common], help="run one verification suite")
     sp.add_argument("which", choices=["theorem1", "theorem2"])
-    sp.add_argument("--window", type=int)
+    sp.add_argument("--window", type=_int_arg)
 
     sp = sub.add_parser("minimality", parents=[common], help="emit witness certificates")
-    sp.add_argument("--t", type=int)
-    sp.add_argument("--budget", type=int, help="members to certify (K)")
-    sp.add_argument("--witnesses", type=int, help="witnesses per member (W)")
+    sp.add_argument("--t", type=_int_arg)
+    sp.add_argument("--budget", type=_int_arg, help="members to certify (K)")
+    sp.add_argument("--witnesses", type=_int_arg, help="witnesses per member (W)")
     sp.add_argument("--override", action="store_true",
                     help="allow t below the order threshold")
     sp.add_argument("--out", type=Path, help="directory for certificate files")
 
     sp = sub.add_parser("explore", parents=[common], help="window evidence for open problems")
-    sp.add_argument("--window", type=int)
-    sp.add_argument("--elem-bound", type=int)
+    sp.add_argument("--window", type=_int_arg)
+    sp.add_argument("--elem-bound", type=_int_arg)
 
     return p
 

@@ -329,13 +329,18 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     check, the Theorem 1 precheck and the config hash.  The members come
     from the member walk (`BasisSpec._walk`), which holds only the members
     it has yielded, in increasing order.  Once per top index: the level
-    (`_level`), held until the walk passes it.  Once per member: its
-    witnesses and shared digits (`_witnesses`), and one DP state walked
-    over the shared digits on [0, M0].  Per witness: the walk from that
-    state over its digits above M0, and the verdict on the accepted count.
-    The split is exact because `_level` puts every endpoint M_i above M0:
-    a witness's digits up to M0 are the shared ones, its digits above M0
-    are its 1s, and no witness depends on another's walk."""
+    (`_level`), held until the walk passes it, with a memo of accepted
+    counts.  Once per member: its witnesses and shared digits
+    (`_witnesses`), and one DP state walked over the shared digits on
+    [0, M0].  Per witness: the verdict on the accepted count of the walk
+    from that state over its digits above M0, taken from the memo, keyed
+    on the state (live set id and ways) and the witness's endpoints M_i,
+    when a member of the level walked them from the same state already.
+    The split and the memo are exact because `_level` puts every endpoint
+    above M0: a witness's digits up to M0 are the shared ones, its digits
+    above M0 are its 1s at the M_i, so its count is a function of the key
+    and no witness depends on another's walk.  The memo is dropped with
+    its level, and no count outlives the call."""
     fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
@@ -347,14 +352,21 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
         # it yields them in increasing order, so each level is built once
         level = None
         for _, a in zip(range(K), spec._walk()):
+            held = level
             level, shared, certs = _witnesses(spec, t, a, W, fams, key, level)
             M0, _, _, _, quots, colors = level
+            if level is not held:
+                accepted = {}  # prefix state -> {endpoints: accepted count}
             prefix = _dp_steps(_dp_start(h), quots, colors, shared.get,
                                0, M0 + 1, h, h)
+            counts = accepted.setdefault((prefix[0], tuple(prefix[1])), {})
             for cert in certs:
-                _settle(cert, h, _dp_accept(_dp_steps(
-                    prefix, quots, colors, cert.n_rep.digits.get, M0 + 1,
-                    cert.n_rep.max_index() + 1, h, h), zero_allowed=False))
+                ends = tuple(cert.chosen_Ms.values())
+                if ends not in counts:
+                    counts[ends] = _dp_accept(_dp_steps(
+                        prefix, quots, colors, cert.n_rep.digits.get, M0 + 1,
+                        cert.n_rep.max_index() + 1, h, h), zero_allowed=False)
+                _settle(cert, h, counts[ends])
             yield certs
 
     return report1, rounds()

@@ -479,6 +479,26 @@ def test_sampled_and_duplicate_paths_removed(argv, message, capsys):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["check", "theorem1", "--window"], "--window"),
+    (["explore", "--window"], "--window"),
+    (["explore", "--elem-bound"], "--elem-bound"),
+    (["minimality", "--t"], "--t"),
+    (["minimality", "--budget"], "--budget"),
+    (["minimality", "--witnesses"], "--witnesses")])
+def test_option_past_the_int_str_limit_exits_2(argv, option, capsys):
+    # every integer option parses like --n: the error names the limit
+    # instead of echoing thousands of digits
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "7" * (limit + 700)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument {option}: {limit + 700} decimal digits exceed "
+            f"Python's int/str conversion limit of {limit}") in err
+    assert "777777" not in err
+
+
 def test_console_script_is_main():
     """pyproject's `gadic` script names gadic.cli.main; read from its line,
     since Python 3.10 has no tomllib."""

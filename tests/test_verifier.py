@@ -589,6 +589,7 @@ class TestSharedPrefix:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_prefix_walked_once_per_member(self, name, monkeypatch):
         cfg = load_preset(name)
+        spec, h = cfg.basis, cfg.partition.h
         real, walks = gadic.verifier._dp_steps, []
 
         def recorded(state, quots, colors, digit, lo, hi, h, classes):
@@ -596,21 +597,30 @@ class TestSharedPrefix:
             return real(state, quots, colors, digit, lo, hi, h, classes)
 
         monkeypatch.setattr(gadic.verifier, "_dp_steps", recorded)
-        _, certs = run_minimality(cfg.basis, cfg.t, K=6, W=4)
-        # per member one walk over the shared digits on [0, M0], then per
-        # witness one walk from M0 + 1 over its own top digits
-        expected = []
+        _, certs = run_minimality(spec, cfg.t, K=20, W=4)
+        # per member one walk over the shared digits on [0, M0]; per
+        # witness one walk from M0 + 1 over its own top digits, unless a
+        # member of its level reached the same prefix state at M0 + 1 and
+        # walked the same endpoints already
+        expected, seen = [], set()
         for k, cert in enumerate(certs):
             if k % 4 == 0:
                 expected.append((0, cert.M0 + 1))
-            expected.append((cert.M0 + 1, cert.n_rep.max_index() + 1))
+            quots, colors = spec._positions(cert.M0 + 1)
+            set_id, ways, _ = real(gadic.repcount._dp_start(h), quots, colors,
+                                   cert.n_rep.digits.get, 0, cert.M0 + 1, h, h)
+            key = (cert.M0, set_id, tuple(ways),
+                   frozenset(cert.chosen_Ms.values()))
+            if key not in seen:
+                seen.add(key)
+                expected.append((cert.M0 + 1, cert.n_rep.max_index() + 1))
         assert walks == expected
 
     def test_certify_pass_call_totals(self, monkeypatch):
         # the benchmark's certify sizes: K = 200 (h = 2) or 50, W = 4 on
-        # every preset.  One walk per member (the prefix) and per witness;
-        # one evaluate per member (its shared digits) and per witness of a
-        # level (its 1s)
+        # every preset.  One walk per member (the prefix) and per distinct
+        # (prefix state, endpoint set) of a level; one evaluate per member
+        # (its shared digits) and per witness of a level (its 1s)
         steps, evals = gadic.verifier._dp_steps, GadicSequence.evaluate
         calls = {"steps": 0, "evaluate": 0}
 
@@ -633,7 +643,39 @@ class TestSharedPrefix:
             members += K
             levels += len({c.M0 for c in certs})
         assert (members, levels) == (500, 50)
-        assert calls == {"steps": 2500, "evaluate": 700}
+        assert calls == {"steps": 796, "evaluate": 700}
+
+    def test_no_walk_count_outlives_a_call(self, monkeypatch):
+        # two identical runs in one process walk alike: the accepted counts
+        # are kept for one level of one call, never across calls
+        real, walks = gadic.verifier._dp_steps, []
+
+        def counted(*args):
+            walks[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(gadic.verifier, "_dp_steps", counted)
+        for name in sorted(PRESETS):
+            cfg = load_preset(name)
+            runs = []
+            for _ in range(2):
+                walks.append(0)
+                runs.append(run_minimality(cfg.basis, cfg.t, K=20, W=4)[1])
+            assert walks[-2] == walks[-1]
+            assert [c.render(cfg.basis) for c in runs[0]] \
+                == [c.render(cfg.basis) for c in runs[1]]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(spec=configurations(min_run=3), K=st.integers(30, 60),
+           W=st.integers(1, 4))
+    def test_shared_counts_match_fresh_counts(self, spec, K, W):
+        # at these K, members of a level often reach one prefix state and
+        # take their witnesses' counts from the level's memo; each must be
+        # the count of a fresh walk from position 0
+        _, certs = run_minimality(spec, min_t(spec.h), K, W)
+        for cert in certs:
+            assert cert.measured_count == count_reps_digitdp(
+                spec, cert.n_rep, spec.h).ordered_count
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     @pytest.mark.parametrize("name", sorted(PRESETS))
