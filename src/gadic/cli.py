@@ -122,9 +122,10 @@ def cmd_minimality(cfg: RunConfig, args) -> int:
                 (out / cert.filename()).write_text(cert.render(spec))
             certified += cert.verdict == "certified"
         total += len(certs)
+        head = (f"a={certs[0].removed:<8} class={certs[0].removed_class} "
+                f"M0={certs[0].M0} M=")
         print("\n".join(
-            f"a={cert.removed:<8} class={cert.removed_class} M0={cert.M0} "
-            f"M={sorted(cert.chosen_Ms.values())} n={cert.n_value} "
+            f"{head}{sorted(cert.chosen_Ms.values())} n={cert.n_value} "
             f"count={cert.measured_count}/{cert.expected_count} "
             f"{cert.verdict}" for cert in certs))
     print(f"summary: {certified}/{total} certified; "

@@ -154,7 +154,10 @@ def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
     fams = _interval_families(spec, t, override)
     if W < 1:
         raise DomainError(f"need W >= 1, got W={W}")
-    return _witnesses(spec, t, a, W, fams, spec_hash(spec, t))[2]
+    rep_a, i0 = spec._rep_and_class(a)
+    if i0 is None:
+        raise DomainError(f"{a} is not a member of the constructed set")
+    return _witnesses(spec, t, a, rep_a, i0, W, fams, spec_hash(spec, t))[2]
 
 
 def _level(spec: BasisSpec, t: int, M0: int, i0: int, W: int,
@@ -191,18 +194,19 @@ def _level(spec: BasisSpec, t: int, M0: int, i0: int, W: int,
     return M0, i0, others, witnesses, quots, colors
 
 
-def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
-               fams: IntervalFamilies, key: str, level: tuple | None = None
+def _witnesses(spec: BasisSpec, t: int, a: int, rep_a: DigitRep, i0: int,
+               W: int, fams: IntervalFamilies, key: str,
+               level: tuple | None = None
                ) -> tuple[tuple, dict[int, int], list[WitnessCertificate]]:
-    """construct_witness past its checks, on `level` if it is the `_level`
-    of a's top index and class, else on a new one.  a's digits, checked
-    off the other classes' indices below M0, merge with the level's into
-    the digits the W witnesses share; each witness adds its 1s above M0,
-    so n is their two values' sum, which must be the multiset's.  Returns
-    the level, the shared digits and the witnesses."""
-    rep_a, i0 = spec._rep_and_class(a)
-    if i0 is None:
-        raise DomainError(f"{a} is not a member of the constructed set")
+    """construct_witness past its checks for a with digits rep_a and class
+    i0, the color of its top index M0, on `level` if it is the `_level` of
+    (M0, i0), else on a new one.  The overlap check is the membership
+    check: it raises unless every digit of a below M0 lies on a class-i0
+    index, so an a that is not a member of class i0 is refused here.  a's
+    digits merge with the level's into the digits the W witnesses share;
+    each witness adds its 1s above M0, so n is their two values' sum, which
+    must be the multiset's.  Returns the level, the shared digits and the
+    witnesses."""
     M0 = rep_a.max_index()
     if level is None or level[:2] != (M0, i0):
         level = _level(spec, t, M0, i0, W, fams)
@@ -221,10 +225,11 @@ def _witnesses(spec: BasisSpec, t: int, a: int, W: int,
         if n_value != sum(values):
             raise RuntimeError(f"witness construction bug: digits of n={n_value} "
                                "do not sum the summands")
+        # spec_hash, t, removed, removed_rep, removed_class, M0, chosen_Ms,
+        # summands, n_rep, n_value, multiset
         certs.append(WitnessCertificate(
-            spec_hash=key, t=t, removed=a, removed_rep=rep_a, removed_class=i0,
-            M0=M0, chosen_Ms=dict(chosen), summands={i0: rep_a, **summands},
-            n_rep=n_rep, n_value=n_value, multiset=values))
+            key, t, a, rep_a, i0, M0, dict(chosen), {i0: rep_a, **summands},
+            n_rep, n_value, values))
     return level, shared, certs
 
 
@@ -330,17 +335,19 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     from the member walk (`BasisSpec._walk`), which holds only the members
     it has yielded, in increasing order.  Once per top index: the level
     (`_level`), held until the walk passes it, with a memo of accepted
-    counts.  Once per member: its witnesses and shared digits
-    (`_witnesses`), and one DP state walked over the shared digits on
-    [0, M0].  Per witness: the verdict on the accepted count of the walk
-    from that state over its digits above M0, taken from the memo, keyed
-    on the state (live set id and ways) and the witness's endpoints M_i,
-    when a member of the level walked them from the same state already.
-    The split and the memo are exact because `_level` puts every endpoint
-    above M0: a witness's digits up to M0 are the shared ones, its digits
-    above M0 are its 1s at the M_i, so its count is a function of the key
-    and no witness depends on another's walk.  The memo is dropped with
-    its level, and no count outlives the call."""
+    counts.  Once per member: its digits (one `represent`), its class,
+    taken as the color of its top index M0 since the walk yields only
+    members, its witnesses and shared digits (`_witnesses`, whose overlap
+    check refuses a non-member), and one DP state walked over the shared
+    digits on [0, M0].  Per witness: the verdict on the accepted count of
+    the walk from that state over its digits above M0, taken from the
+    memo, keyed on the state (live set id and ways) and the witness's
+    endpoints M_i, when a member of the level walked them from the same
+    state already.  The split and the memo are exact because `_level` puts
+    every endpoint above M0: a witness's digits up to M0 are the shared
+    ones, its digits above M0 are its 1s at the M_i, so its count is a
+    function of the key and no witness depends on another's walk.  The
+    memo is dropped with its level, and no count outlives the call."""
     fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
@@ -352,8 +359,11 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
         # it yields them in increasing order, so each level is built once
         level = None
         for _, a in zip(range(K), spec._walk()):
-            held = level
-            level, shared, certs = _witnesses(spec, t, a, W, fams, key, level)
+            # a walked member's class is the color of its top index
+            held, rep_a = level, spec.seq.represent(a)
+            i0 = spec.partition.color(rep_a.max_index())
+            level, shared, certs = _witnesses(spec, t, a, rep_a, i0, W, fams,
+                                              key, level)
             M0, _, _, _, quots, colors = level
             if level is not held:
                 accepted = {}  # prefix state -> {endpoints: accepted count}

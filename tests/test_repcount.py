@@ -991,7 +991,13 @@ class TestMemberWalk:
     @given(spec=configurations(quotients=WIDE_QUOTIENTS))
     def test_configurations(self, spec):
         for N in [1] + TestAddMembers.windows(spec) + [20000]:
-            assert walk_to(spec, N) == _low_bits(_add_members(spec, 1, N))
+            members = walk_to(spec, N)
+            assert members == _low_bits(_add_members(spec, 1, N))
+        # the minimality rounds take a walked member's class from the
+        # color of its top index
+        for m in members:
+            assert spec.partition.color(spec.seq.represent(m).max_index()) \
+                == spec.classify(m)
 
     def test_first_members_leave_a_level_unbuilt(self):
         # on [1000] colored [0, 1], index 2 alone has 999 * 1000 members,

@@ -217,6 +217,27 @@ class TestConstructWitness:
                            r"summand supports overlap at index 0$"):
             construct_witness(binary_pairs, 2, 9)
 
+    def test_walked_non_member_refused(self, monkeypatch, capsys):
+        # the rounds take a walked member's class from its top index: a
+        # walk that yields binary-h2's 9 (digits at indices 0 and 3, of
+        # classes 0 and 1) reads it as class 1, and the overlap check
+        # refuses it at index 0 after member 1's lines are out
+        def walk(spec):
+            yield from (1, 9, 2)
+
+        monkeypatch.setattr(BasisSpec, "_walk", walk)
+        assert cli.main(["minimality", "--preset", "binary-h2",
+                         "--budget", "3", "--witnesses", "2"]) == 1
+        captured = capsys.readouterr()
+        assert [line.split()[0] for line in captured.out.splitlines()] \
+            == ["a=1", "a=1"]
+        assert captured.err == ("error: witness construction bug: summand "
+                                "supports overlap at index 0\n")
+        cfg = load_preset("binary-h2")
+        with pytest.raises(DomainError,
+                           match=r"^9 is not a member of the constructed set$"):
+            construct_witness(cfg.basis, cfg.t, 9)
+
     def test_shared_endpoint_raises(self, monkeypatch, capsys):
         # class 2 takes class 1's window endpoints on h3-runs, so the class-1
         # and class-2 summands of a class-0 member put their 1 at the same
@@ -620,9 +641,12 @@ class TestSharedPrefix:
         # the benchmark's certify sizes: K = 200 (h = 2) or 50, W = 4 on
         # every preset.  One walk per member (the prefix) and per distinct
         # (prefix state, endpoint set) of a level; one evaluate per member
-        # (its shared digits) and per witness of a level (its 1s)
+        # (its shared digits) and per witness of a level (its 1s); one
+        # represent per member, whose class is its top index's color, so
+        # no member is classified again
         steps, evals = gadic.verifier._dp_steps, GadicSequence.evaluate
-        calls = {"steps": 0, "evaluate": 0}
+        represent, classify = GadicSequence.represent, BasisSpec._rep_and_class
+        calls = {"steps": 0, "evaluate": 0, "represent": 0, "classify": 0}
 
         def counted_steps(*args):
             calls["steps"] += 1
@@ -632,8 +656,18 @@ class TestSharedPrefix:
             calls["evaluate"] += 1
             return evals(seq, rep)
 
+        def counted_represent(seq, n):
+            calls["represent"] += 1
+            return represent(seq, n)
+
+        def counted_classify(spec, n):
+            calls["classify"] += 1
+            return classify(spec, n)
+
         monkeypatch.setattr(gadic.verifier, "_dp_steps", counted_steps)
         monkeypatch.setattr(GadicSequence, "evaluate", counted_evaluate)
+        monkeypatch.setattr(GadicSequence, "represent", counted_represent)
+        monkeypatch.setattr(BasisSpec, "_rep_and_class", counted_classify)
         members = levels = 0
         for name in sorted(PRESETS):
             cfg = load_preset(name)
@@ -643,7 +677,8 @@ class TestSharedPrefix:
             members += K
             levels += len({c.M0 for c in certs})
         assert (members, levels) == (500, 50)
-        assert calls == {"steps": 796, "evaluate": 700}
+        assert calls == {"steps": 796, "evaluate": 700, "represent": 500,
+                         "classify": 0}
 
     def test_no_walk_count_outlives_a_call(self, monkeypatch):
         # two identical runs in one process walk alike: the accepted counts
