@@ -12,14 +12,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import groupby, takewhile
 
 from . import __version__
 from .core import DigitRep, DomainError
 from .basis import BasisSpec, _add_members
 from .partition import HypothesisViolatedError, IntervalFamilies, \
     detect_interval_families, min_t
-from .repcount import _dp_accept, _dp_start, _dp_steps, \
+from .repcount import _dp_accept, _dp_start, _dp_steps, _end_sets, \
     check_prefix_inequality, count_reps_digitdp, sumset_gaps
 
 
@@ -157,18 +157,20 @@ def construct_witness(spec: BasisSpec, t: int, a: int, W: int = 1,
     rep_a, i0 = spec._rep_and_class(a)
     if i0 is None:
         raise DomainError(f"{a} is not a member of the constructed set")
-    return _witnesses(spec, t, a, rep_a, i0, W, fams, spec_hash(spec, t))[2]
+    level = _level(spec, t, rep_a.max_index(), W, fams)
+    return _witnesses(spec, t, a, rep_a, level, spec_hash(spec, t))[1]
 
 
-def _level(spec: BasisSpec, t: int, M0: int, i0: int, W: int,
+def _level(spec: BasisSpec, t: int, M0: int, W: int,
            fams: IntervalFamilies) -> tuple:
-    """The witness parts shared by the class-i0 members with top index M0:
-    (M0, i0, the other classes' maximal digits below M0, per witness its
-    endpoints M_i, other summands, their values, n's 1s at the M_i and
-    their value, the quotients and classes up to the largest M_i).  Every
-    M_i must lie above M0, off the digits the witnesses share: that check
-    is what lets verify_minimality count all of a member's witnesses from
-    one DP state over those digits."""
+    """The witness parts shared by the members with top index M0, whose
+    class i0 is the color of M0: (M0, i0, the other classes' maximal digits
+    below M0, per witness its endpoints M_i, other summands, their values,
+    n's 1s at the M_i and their value, the quotients and classes up to the
+    largest M_i).  Every M_i must lie above M0, off the digits the
+    witnesses share: that check is what lets verify_minimality count all
+    of a member's witnesses from one DP state over those digits."""
+    i0 = spec.partition.color(M0)
     gens = {i: fams.members_from(i, M0 + t) for i in range(spec.h) if i != i0}
     chosen = [{i: next(gen) for i, gen in gens.items()} for _ in range(W)]
     ends = sorted(M for c in chosen for M in c.values())
@@ -194,23 +196,18 @@ def _level(spec: BasisSpec, t: int, M0: int, i0: int, W: int,
     return M0, i0, others, witnesses, quots, colors
 
 
-def _witnesses(spec: BasisSpec, t: int, a: int, rep_a: DigitRep, i0: int,
-               W: int, fams: IntervalFamilies, key: str,
-               level: tuple | None = None
-               ) -> tuple[tuple, dict[int, int], list[WitnessCertificate]]:
-    """construct_witness past its checks for a with digits rep_a and class
-    i0, the color of its top index M0, on `level` if it is the `_level` of
-    (M0, i0), else on a new one.  The overlap check is the membership
-    check: it raises unless every digit of a below M0 lies on a class-i0
-    index, so an a that is not a member of class i0 is refused here.  a's
-    digits merge with the level's into the digits the W witnesses share;
-    each witness adds its 1s above M0, so n is their two values' sum, which
-    must be the multiset's.  Returns the level, the shared digits and the
-    witnesses."""
-    M0 = rep_a.max_index()
-    if level is None or level[:2] != (M0, i0):
-        level = _level(spec, t, M0, i0, W, fams)
-    _, _, others, witnesses, _, colors = level
+def _witnesses(spec: BasisSpec, t: int, a: int, rep_a: DigitRep,
+               level: tuple, key: str
+               ) -> tuple[dict[int, int], list[WitnessCertificate]]:
+    """construct_witness past its checks for a with digits rep_a on
+    `level`, the `_level` of a's top index M0, whose color i0 is a's class.
+    The overlap check is the membership check: it raises unless every digit
+    of a below M0 lies on a class-i0 index, so an a that is not a member of
+    class i0 is refused here.  a's digits merge with the level's into the
+    digits the W witnesses share; each witness adds its 1s above M0, so n
+    is their two values' sum, which must be the multiset's.  Returns the
+    shared digits and the witnesses."""
+    M0, i0, others, witnesses, _, colors = level
     for j in rep_a.digits:
         if j < M0 and colors[j] != i0:
             raise RuntimeError("witness construction bug: summand "
@@ -230,7 +227,7 @@ def _witnesses(spec: BasisSpec, t: int, a: int, rep_a: DigitRep, i0: int,
         certs.append(WitnessCertificate(
             key, t, a, rep_a, i0, M0, dict(chosen), {i0: rep_a, **summands},
             n_rep, n_value, values))
-    return level, shared, certs
+    return shared, certs
 
 
 def verify_witness(spec: BasisSpec, cert: WitnessCertificate) -> WitnessCertificate:
@@ -333,51 +330,48 @@ def verify_minimality(spec: BasisSpec, t: int, K: int, W: int,
     Once per batch, before this returns: the hypothesis gate, the K and W
     check, the Theorem 1 precheck and the config hash.  The members come
     from the member walk (`BasisSpec._walk`), which holds only the members
-    it has yielded, in increasing order.  Once per top index: the level
-    (`_level`), held until the walk passes it, with a memo of accepted
-    counts.  Once per member: its digits (one `represent`), its class,
-    taken as the color of its top index M0 since the walk yields only
-    members, its witnesses and shared digits (`_witnesses`, whose overlap
-    check refuses a non-member), and one DP state walked over the shared
-    digits on [0, M0].  Per witness: the verdict on the accepted count of
-    the walk from that state over its digits above M0, taken from the
-    memo, keyed on the state (live set id and ways) and the witness's
-    endpoints M_i, when a member of the level walked them from the same
-    state already.  The split and the memo are exact because `_level` puts
+    it has yielded, in increasing order.  Once per top index M0: the level
+    (`_level`), held while the walk's members have that top index.  Once
+    per member: its digits (one `represent`), its class, taken as the
+    color of M0 since the walk yields only members, its witnesses and
+    shared digits (`_witnesses`, whose overlap check refuses a non-member),
+    and one DP state walked over the shared digits on [0, M0].  Per
+    witness: the verdict on the accepted count of the walk from that state
+    over its digits above M0.  The split is exact because `_level` puts
     every endpoint above M0: a witness's digits up to M0 are the shared
-    ones, its digits above M0 are its 1s at the M_i, so its count is a
-    function of the key and no witness depends on another's walk.  The
-    memo is dropped with its level, and no count outlives the call."""
+    ones, its digits above M0 are its 1s at the M_i, so no witness depends
+    on another's walk.  When the state is the final live set (carry 0, one
+    summand committed to each class), the DP leaves it as it is, so its
+    accepted count settles every witness with no walk above M0."""
     fams = _interval_families(spec, t, override)
     if K < 1 or W < 1:
         raise DomainError(f"need K >= 1 and W >= 1, got K={K}, W={W}")
     report1 = verify_theorem1(spec, 2000)
     key, h = spec_hash(spec, t), spec.h
+    final = _end_sets(h)[1]
 
     def rounds():
         # zip draws from range first, so the walk stops at the K-th member;
-        # it yields them in increasing order, so each level is built once
-        level = None
-        for _, a in zip(range(K), spec._walk()):
-            # a walked member's class is the color of its top index
-            held, rep_a = level, spec.seq.represent(a)
-            i0 = spec.partition.color(rep_a.max_index())
-            level, shared, certs = _witnesses(spec, t, a, rep_a, i0, W, fams,
-                                              key, level)
-            M0, _, _, _, quots, colors = level
-            if level is not held:
-                accepted = {}  # prefix state -> {endpoints: accepted count}
-            prefix = _dp_steps(_dp_start(h), quots, colors, shared.get,
-                               0, M0 + 1, h, h)
-            counts = accepted.setdefault((prefix[0], tuple(prefix[1])), {})
-            for cert in certs:
-                ends = tuple(cert.chosen_Ms.values())
-                if ends not in counts:
-                    counts[ends] = _dp_accept(_dp_steps(
+        # it yields them in increasing order, so each top index is one run
+        members = ((a, spec.seq.represent(a))
+                   for _, a in zip(range(K), spec._walk()))
+        for M0, run in groupby(members, key=lambda m: m[1].max_index()):
+            level = _level(spec, t, M0, W, fams)
+            quots, colors = level[4:]
+            for a, rep_a in run:
+                shared, certs = _witnesses(spec, t, a, rep_a, level, key)
+                prefix = _dp_steps(_dp_start(h), quots, colors, shared.get,
+                                   0, M0 + 1, h, h)
+                if prefix[0] == final:  # the DP leaves a final state as it is
+                    counts = [_dp_accept(prefix, zero_allowed=False)] * W
+                else:
+                    counts = [_dp_accept(_dp_steps(
                         prefix, quots, colors, cert.n_rep.digits.get, M0 + 1,
                         cert.n_rep.max_index() + 1, h, h), zero_allowed=False)
-                _settle(cert, h, counts[ends])
-            yield certs
+                        for cert in certs]
+                for cert, count in zip(certs, counts):
+                    _settle(cert, h, count)
+                yield certs
 
     return report1, rounds()
 

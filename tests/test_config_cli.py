@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import gadic.verifier
-from gadic import ConfigError, PRESETS, RunConfig, load_preset
+from gadic import ConfigError, PRESETS, RunConfig, count_reps_digitdp, \
+    load_preset
+from gadic.repcount import _dp_start, _dp_steps, _end_sets
 from gadic.basis import DEFAULT_WINDOW_LIMIT
 from gadic.cli import build_parser, main
 
@@ -356,6 +358,42 @@ class TestMinimalityCommand:
         cfg = tmp_path / "neg.cfg"
         cfg.write_text(PRESETS["binary-h2"].replace("budget = 20", "budget = -1"))
         assert main(["minimality", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("scale, coloring, digest", [
+        ("[2]", "[0,0,1,1,0,0,2,2]", "1e10147468873d25"),
+        ("[2,3]", "[2,1,1,2,2,0,0]", "10bb7cfd967f643b")])
+    def test_t2_counterexamples_fail(self, scale, coloring, digest, tmp_path,
+                                     capsys):
+        # h = 3 at t = 2, below min_t(3) = 3: each class has a recurring
+        # 2-run, yet some witnesses have rival representations, whose
+        # summands of one class carry into other classes' indices
+        cfg = tmp_path / "t2.cfg"
+        cfg.write_text(f"sequence = prefix=[];period={scale}\n"
+                       f"partition = h=3;prefix=[];period={coloring}\n"
+                       "t = 2\n")
+        assert main(["minimality", "--config", str(cfg), "--t", "2",
+                     "--override", "--budget", "6", "--witnesses", "2"]) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+        lines, spec = out.splitlines(), RunConfig.parse(cfg.read_text()).basis
+        if scale == "[2]":
+            assert lines[0].endswith(" n=137 count=9/6 failed")
+        else:
+            # a = 2's prefix state at M0 + 1 = 2 is not final, and its two
+            # witnesses' counts differ: a count shared across them shows
+            assert [line.split(" n=")[1] for line in lines[2:4]] \
+                == ["255 count=6/6 certified", "108867 count=9/6 failed"]
+            state = _dp_steps(_dp_start(3), *spec._positions(2),
+                              spec.seq.represent(255).digits.get, 0, 2, 3, 3)
+            assert state[0] != _end_sets(3)[1]
+        # each failed count is that of a fresh walk from position 0
+        failed = [re.search(r" n=(\d+) count=(\d+)/6 failed$", line)
+                  for line in lines[:-1]]
+        assert any(failed)
+        for match in filter(None, failed):
+            n, count = map(int, match.groups())
+            assert count == count_reps_digitdp(
+                spec, spec.seq.represent(n), 3).ordered_count
 
     def test_mixed23_preset(self):
         assert main(["minimality", "--preset", "mixed23-h2",
